@@ -17,8 +17,7 @@ from .stability import (StabilityReport, average_error_bound, bch_c2,
 from .synthesis import (CombinationResult, EtaSearchResult,
                         find_stable_combination, max_stable_eta)
 from .simulate import (AffineMap, Cycle, Trajectory, limit_cycle,
-                       poincare_map, segment_step, simulate,
-                       simulate_norm_min)
+                       poincare_map, simulate, simulate_norm_min)
 
 __version__ = "0.1.0"
 
@@ -34,6 +33,6 @@ __all__ = [
     "CombinationResult", "EtaSearchResult", "find_stable_combination",
     "max_stable_eta",
     "AffineMap", "Cycle", "Trajectory", "limit_cycle", "poincare_map",
-    "segment_step", "simulate", "simulate_norm_min",
+    "simulate", "simulate_norm_min",
     "__version__",
 ]

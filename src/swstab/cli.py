@@ -8,6 +8,7 @@ Exit codes: 0 success; 1 parse/validation error; 2 numerical failure;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys as _sys
@@ -38,7 +39,10 @@ EXIT_UNSTABLE = 3
 
 @dataclass
 class RunConfig:
-    """Fully resolved invocation, embedded in every report."""
+    """Fully resolved invocation, embedded in every report.
+
+    The field defaults are the command-line defaults.
+    """
 
     command: str
     system_path: Optional[str] = None
@@ -124,14 +128,26 @@ def _load_inputs(config: RunConfig) -> tuple[SwitchedSystem, Optional[PeriodicSi
     return sys_, sig
 
 
-def _write_trajectories(out: Path, trajectories) -> list[str]:
+def _run_trajectories(config: RunConfig, out: Path, n: int, propagate,
+                      report_name: str) -> int:
+    """Propagate every initial condition, keeping the partial trajectory of
+    a divergent one, then write the CSVs and the summary report."""
+    trajectories, diverged = [], []
+    for p in _initial_conditions(config, n):
+        try:
+            trajectories.append(propagate(p))
+        except DivergenceError as exc:
+            trajectories.append(exc.trajectory)
+            diverged.append({"x0": p.tolist(), "escape_time": exc.time})
     names = []
     for k, traj in enumerate(trajectories):
         name = f"trajectory_{k:02d}.csv"
         with open(out / name, "w") as fh:
             traj.write_csv(fh)
         names.append(name)
-    return names
+    body = {"trajectories": names, "diverged": diverged}
+    _write_json(out / report_name, _report(config, body))
+    return EXIT_UNSTABLE if diverged else EXIT_OK
 
 
 # -- subcommand bodies --------------------------------------------------------
@@ -179,19 +195,10 @@ def _cmd_simulate(config: RunConfig, out: Path) -> int:
     sys_, sig = _load_inputs(config)
     if sig is None:
         raise ValueError("simulate needs a switching signal (--signal)")
-    points = _initial_conditions(config, sys_.n)
-    trajectories, diverged = [], []
-    for p in points:
-        try:
-            trajectories.append(simulate(sys_, sig, p, config.t_end,
-                                         config.sample_dt))
-        except DivergenceError as exc:
-            trajectories.append(exc.trajectory)
-            diverged.append({"x0": p.tolist(), "escape_time": exc.time})
-    names = _write_trajectories(out, trajectories)
-    body = {"trajectories": names, "diverged": diverged}
-    _write_json(out / "simulate.json", _report(config, body))
-    return EXIT_UNSTABLE if diverged else EXIT_OK
+    return _run_trajectories(
+        config, out, sys_.n,
+        lambda p: simulate(sys_, sig, p, config.t_end, config.sample_dt),
+        "simulate.json")
 
 
 def _cmd_cycle(config: RunConfig, out: Path) -> int:
@@ -221,19 +228,11 @@ def _cmd_cycle(config: RunConfig, out: Path) -> int:
 
 def _cmd_normmin(config: RunConfig, out: Path) -> int:
     sys_, _ = _load_inputs(config)
-    points = _initial_conditions(config, sys_.n)
     policy = NormMinPolicy(config.sample_dt)
-    trajectories, diverged = [], []
-    for p in points:
-        try:
-            trajectories.append(simulate_norm_min(sys_, p, config.t_end, policy))
-        except DivergenceError as exc:
-            trajectories.append(exc.trajectory)
-            diverged.append({"x0": p.tolist(), "escape_time": exc.time})
-    names = _write_trajectories(out, trajectories)
-    _write_json(out / "normmin.json",
-                _report(config, {"trajectories": names, "diverged": diverged}))
-    return EXIT_UNSTABLE if diverged else EXIT_OK
+    return _run_trajectories(
+        config, out, sys_.n,
+        lambda p: simulate_norm_min(sys_, p, config.t_end, policy),
+        "normmin.json")
 
 
 def _cmd_example(config: RunConfig, out: Path) -> int:
@@ -259,76 +258,70 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stabilising switching signals for switched affine systems")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # each dest is a RunConfig field; options left out stay off the
+    # namespace, so RunConfig supplies every default
+    add_parser = functools.partial(sub.add_parser,
+                                   argument_default=argparse.SUPPRESS)
 
     def add_common(p, signal=False, sim=False, synth=False):
-        p.add_argument("--system", help="system JSON file")
+        p.add_argument("--system", dest="system_path", metavar="SYSTEM",
+                       help="system JSON file")
         if signal:
-            p.add_argument("--signal", help="signal JSON file")
-            p.add_argument("--eta", type=float, default=1.0,
+            p.add_argument("--signal", dest="signal_path", metavar="SIGNAL",
+                           help="signal JSON file")
+            p.add_argument("--eta", type=float,
                            help="time-scale applied to the signal")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--tol", action="append", metavar="NAME=VALUE",
+        p.add_argument("--out", dest="output_dir", metavar="OUT",
+                       help="output directory")
+        p.add_argument("--tol", action="append", dest="tolerances",
+                       metavar="NAME=VALUE",
                        help="tolerance override (repeatable)")
         if sim:
-            p.add_argument("--t-end", type=float, default=60.0)
-            p.add_argument("--dt", type=float, default=0.05,
+            p.add_argument("--t-end", type=float)
+            p.add_argument("--dt", type=float, dest="sample_dt", metavar="DT",
                            help="sample step (policy step for normmin)")
             p.add_argument("--x0", action="append", metavar="CSV",
                            help="initial condition, e.g. 1,0 (repeatable)")
             p.add_argument("--circle", type=int,
                            help="K initial points on the unit circle")
         if synth:
-            p.add_argument("--resolution", type=float, default=0.01)
+            p.add_argument("--resolution", type=float)
             p.add_argument("--eta-max", type=float)
-            p.add_argument("--grid-points", type=int, default=50)
+            p.add_argument("--grid-points", type=int)
 
-    p = sub.add_parser("analyze", help="stability report for system + signal")
+    p = add_parser("analyze", help="stability report for system + signal")
     add_common(p, signal=True)
     p.add_argument("--k-list", help="comma-separated k grid for the dwell bound")
 
-    p = sub.add_parser("synthesize",
-                       help="find a stable combination and the max dwell scale")
+    p = add_parser("synthesize",
+                   help="find a stable combination and the max dwell scale")
     add_common(p, synth=True)
 
-    p = sub.add_parser("simulate", help="exact trajectories under a signal")
+    p = add_parser("simulate", help="exact trajectories under a signal")
     add_common(p, signal=True, sim=True)
 
-    p = sub.add_parser("cycle", help="limit cycle of the one-period map")
+    p = add_parser("cycle", help="limit cycle of the one-period map")
     add_common(p, signal=True)
 
-    p = sub.add_parser("normmin", help="norm-minimising closed-loop simulation")
+    p = add_parser("normmin", help="norm-minimising closed-loop simulation")
     add_common(p, sim=True)
 
-    p = sub.add_parser("example", help="write a bundled example and analyse it")
-    p.add_argument("number", type=int, choices=(1, 2))
+    p = add_parser("example", help="write a bundled example and analyse it")
+    p.add_argument("example", type=int, choices=(1, 2))
     add_common(p, signal=False, sim=True)
-    p.add_argument("--eta", type=float, default=1.0)
+    p.add_argument("--eta", type=float)
     p.add_argument("--k-list", help="comma-separated k grid for the dwell bound")
 
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    x0 = []
-    for item in getattr(args, "x0", None) or []:
-        x0.append([float(v) for v in item.split(",")])
-    return RunConfig(
-        command=args.command,
-        system_path=getattr(args, "system", None),
-        signal_path=getattr(args, "signal", None),
-        example=getattr(args, "number", None),
-        eta=getattr(args, "eta", 1.0),
-        t_end=getattr(args, "t_end", 60.0),
-        sample_dt=getattr(args, "dt", 0.05),
-        output_dir=args.out,
-        circle=getattr(args, "circle", None),
-        x0=x0,
-        resolution=getattr(args, "resolution", 0.01),
-        eta_max=getattr(args, "eta_max", None),
-        grid_points=getattr(args, "grid_points", 50),
-        k_list=_parse_k_list(getattr(args, "k_list", None)),
-        tolerances=_parse_tols(getattr(args, "tol", None)),
-    )
+    given = dict(vars(args))
+    given["x0"] = [[float(v) for v in item.split(",")]
+                   for item in given.get("x0", [])]
+    given["k_list"] = _parse_k_list(given.get("k_list"))
+    given["tolerances"] = _parse_tols(given.get("tolerances"))
+    return RunConfig(**given)
 
 
 _DISPATCH = {

@@ -174,15 +174,23 @@ def system_from_dict(spec: dict) -> SwitchedSystem:
 
     An omitted "b" means the zero vector (linear subsystem).
     """
-    if "subsystems" not in spec:
-        raise ValueError('system spec is missing "subsystems"')
+    if not isinstance(spec, dict) or "subsystems" not in spec:
+        raise ValueError('system spec must be a JSON object with "subsystems"')
+    entries = spec["subsystems"]
+    if not (isinstance(entries, list)
+            and all(isinstance(e, dict) for e in entries)):
+        raise ValueError('"subsystems" must be a list of objects')
     subs = []
-    for entry in spec["subsystems"]:
-        A = np.asarray(entry["A"], dtype=float)
-        b = np.asarray(entry.get("b", np.zeros(A.shape[0])), dtype=float)
-        subs.append(SubSystem(A, b))
+    try:
+        for entry in entries:
+            A = np.asarray(entry["A"], dtype=float)
+            b = np.asarray(entry.get("b", np.zeros(A.shape[0])), dtype=float)
+            subs.append(SubSystem(A, b))
+        declared = int(spec["n"]) if "n" in spec else None
+    except TypeError as exc:
+        raise ValueError(f"system spec value has the wrong type: {exc}") from exc
     sys_ = SwitchedSystem(tuple(subs))
-    if "n" in spec and int(spec["n"]) != sys_.n:
+    if declared is not None and declared != sys_.n:
         raise ValueError(
             f'declared dimension n={spec["n"]} does not match matrices (n={sys_.n})')
     return sys_

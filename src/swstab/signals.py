@@ -44,14 +44,6 @@ class PeriodicSignal:
         return float(sum(d for _, d in self.segments))
 
     @property
-    def min_dwell(self) -> float:
-        return float(min(d for _, d in self.segments))
-
-    @property
-    def mean_dwell(self) -> float:
-        return self.period / len(self.segments)
-
-    @property
     def max_index(self) -> int:
         return max(i for i, _ in self.segments)
 
@@ -168,12 +160,19 @@ def signal_from_dict(spec: dict) -> PeriodicSignal:
 
     The optional "eta" (default 1) scales every duration.
     """
-    if "segments" not in spec:
-        raise ValueError('signal spec is missing "segments"')
-    segs = tuple(Segment(int(s["index"]), float(s["duration"]))
-                 for s in spec["segments"])
+    if not isinstance(spec, dict) or "segments" not in spec:
+        raise ValueError('signal spec must be a JSON object with "segments"')
+    entries = spec["segments"]
+    if not (isinstance(entries, list)
+            and all(isinstance(s, dict) for s in entries)):
+        raise ValueError('"segments" must be a list of objects')
+    try:
+        segs = tuple(Segment(int(s["index"]), float(s["duration"]))
+                     for s in entries)
+        eta = float(spec.get("eta", 1.0))
+    except TypeError as exc:
+        raise ValueError(f"signal spec value has the wrong type: {exc}") from exc
     sig = PeriodicSignal(segs)
-    eta = float(spec.get("eta", 1.0))
     return sig if eta == 1.0 else scale(sig, eta)
 
 

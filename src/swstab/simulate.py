@@ -104,16 +104,16 @@ def segment_map(sub: SubSystem, tau: float) -> AffineMap:
     return AffineMap(E[:n, :n], E[:n, n])
 
 
-def segment_step(sub: SubSystem, x: np.ndarray, tau: float) -> np.ndarray:
-    """State after holding one subsystem active for tau."""
-    return segment_map(sub, tau)(linalg.as_vector(x))
+def check_indices(sys: SwitchedSystem, sig: PeriodicSignal) -> None:
+    """Raise IndexError if the signal names a subsystem the system lacks."""
+    if sig.max_index > sys.m:
+        raise IndexError(
+            f"signal references subsystem {sig.max_index}, system has {sys.m}")
 
 
 def poincare_map(sys: SwitchedSystem, sig: PeriodicSignal) -> AffineMap:
     """One-period map x(T) = M x(0) + v, composed segment by segment."""
-    if sig.max_index > sys.m:
-        raise IndexError(
-            f"signal references subsystem {sig.max_index}, system has {sys.m}")
+    check_indices(sys, sig)
     M = np.eye(sys.n)
     v = np.zeros(sys.n)
     for idx, dur in sig.segments:
@@ -124,7 +124,8 @@ def poincare_map(sys: SwitchedSystem, sig: PeriodicSignal) -> AffineMap:
 
 
 def _guard(x: np.ndarray, t: float, times, states, actives, provenance):
-    if np.linalg.norm(x) > DIVERGENCE_GUARD:
+    # written so that a NaN norm also trips the guard
+    if not np.linalg.norm(x) <= DIVERGENCE_GUARD:
         partial = Trajectory(np.array(times), np.array(states),
                              np.array(actives, dtype=int), provenance)
         raise DivergenceError(t, partial)
@@ -139,9 +140,7 @@ def simulate(sys: SwitchedSystem, sig: PeriodicSignal, x0: np.ndarray,
     """
     if not (t_end > 0.0 and sample_dt > 0.0):
         raise ValueError("t_end and sample_dt must be positive")
-    if sig.max_index > sys.m:
-        raise IndexError(
-            f"signal references subsystem {sig.max_index}, system has {sys.m}")
+    check_indices(sys, sig)
 
     n_samples = int(np.floor(t_end / sample_dt + 1e-9))
     sample_times = [k * sample_dt for k in range(1, n_samples + 1)]
@@ -188,22 +187,13 @@ def simulate(sys: SwitchedSystem, sig: PeriodicSignal, x0: np.ndarray,
                       np.array(actives, dtype=int), "periodic")
 
 
-def norm_min_index(sys: SwitchedSystem, x: np.ndarray) -> int:
-    """Subsystem minimising d||x||/dt, i.e. argmin_i x^T (A_i x + b_i).
-
-    Ties, including x = 0 in the linear case, resolve to the lowest index.
-    """
-    vals = [float(x @ (sub.A @ x + sub.b)) for sub in sys.subsystems]
-    return int(np.argmin(vals)) + 1
-
-
 def simulate_norm_min(sys: SwitchedSystem, x0: np.ndarray, t_end: float,
                       policy: NormMinPolicy) -> Trajectory:
     """Sampled-time closed loop under the norm-minimising selection rule.
 
     Each step holds the selected subsystem for the policy step and advances
     exactly; the recorded active index is the selection made at the sample's
-    state.
+    state, argmin_i x^T (A_i x + b_i) with ties to the lowest index.
     """
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -216,19 +206,16 @@ def simulate_norm_min(sys: SwitchedSystem, x0: np.ndarray, t_end: float,
 
     x = linalg.as_vector(x0).copy()
     times, states, actives = [], [], []
-    for k in range(n_steps):
+    for k in range(n_steps + 1):
         t = k * h
         drift = As @ x + bs                       # (m, n)
-        vals = drift @ x
-        i = int(np.argmin(vals))
+        i = int(np.argmin(drift @ x))
         times.append(t)
         states.append(x.copy())
         actives.append(i + 1)
-        x = step_maps[i](x)
-        _guard(x, t + h, times, states, actives, "norm_min")
-    times.append(n_steps * h)
-    states.append(x.copy())
-    actives.append(norm_min_index(sys, x))
+        if k < n_steps:
+            x = step_maps[i](x)
+            _guard(x, t + h, times, states, actives, "norm_min")
 
     return Trajectory(np.array(times), np.array(states),
                       np.array(actives, dtype=int), "norm_min")

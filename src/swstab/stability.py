@@ -17,6 +17,7 @@ import numpy as np
 from . import linalg
 from .model import SwitchedSystem, Weights, average_system
 from .signals import PeriodicSignal, from_weights
+from .simulate import check_indices, poincare_map
 
 DEFAULT_K_LIST = tuple(2 ** i for i in range(11))
 
@@ -50,23 +51,13 @@ class StabilityReport:
         }
 
 
-def _segment_matrices(sys: SwitchedSystem, sig: PeriodicSignal) -> list[np.ndarray]:
-    if sig.max_index > sys.m:
-        raise IndexError(
-            f"signal references subsystem {sig.max_index}, system has {sys.m}")
-    return [dur * sys.subsystems[idx - 1].A for idx, dur in sig.segments]
-
-
 def monodromy(sys: SwitchedSystem, sig: PeriodicSignal) -> np.ndarray:
-    """One-period transition matrix: product of segment exponentials.
+    """One-period transition matrix: the linear block M of the Poincare map.
 
-    The earliest segment is the rightmost factor; affine drifts are ignored
-    (linear part only).
+    Equal to the product of segment exponentials, earliest segment
+    rightmost; affine drifts do not enter it.
     """
-    Phi = np.eye(sys.n)
-    for X in _segment_matrices(sys, sig):
-        Phi = linalg.mat_exp(X) @ Phi
-    return Phi
+    return poincare_map(sys, sig).M
 
 
 def det_monodromy_oracle(sys: SwitchedSystem, sig: PeriodicSignal) -> float:
@@ -74,9 +65,7 @@ def det_monodromy_oracle(sys: SwitchedSystem, sig: PeriodicSignal) -> float:
 
     det(prod e^{tau_k A_k}) = exp(sum_k tau_k tr(A_k)).
     """
-    if sig.max_index > sys.m:
-        raise IndexError(
-            f"signal references subsystem {sig.max_index}, system has {sys.m}")
+    check_indices(sys, sig)
     return math.exp(sum(dur * np.trace(sys.subsystems[idx - 1].A)
                         for idx, dur in sig.segments))
 
@@ -98,15 +87,6 @@ def is_ici_stable(sys: SwitchedSystem, sig: PeriodicSignal,
     )
 
 
-def _resolve_order(sys: SwitchedSystem, order: Optional[Sequence[int]]) -> list[int]:
-    if order is None:
-        return list(range(1, sys.m + 1))
-    order = [int(i) for i in order]
-    if sorted(order) != list(range(1, sys.m + 1)):
-        raise ValueError(f"order {order!r} is not a permutation of 1..{sys.m}")
-    return order
-
-
 def bch_c2(sys: SwitchedSystem, w: Weights,
            order: Optional[Sequence[int]] = None) -> np.ndarray:
     """Second-order commutator correction of the log-monodromy.
@@ -120,7 +100,9 @@ def bch_c2(sys: SwitchedSystem, w: Weights,
     """
     if w.m != sys.m:
         raise ValueError(f"weights length {w.m} != subsystem count {sys.m}")
-    p = _resolve_order(sys, order)
+    p = list(range(1, sys.m + 1)) if order is None else [int(i) for i in order]
+    if sorted(p) != list(range(1, sys.m + 1)):
+        raise ValueError(f"order {p!r} is not a permutation of 1..{sys.m}")
     a = [w.alpha[i - 1] for i in p]
     A = [sys.subsystems[i - 1].A for i in p]
     C = np.zeros((sys.n, sys.n))
@@ -128,35 +110,6 @@ def bch_c2(sys: SwitchedSystem, w: Weights,
         for i in range(j):
             C += 0.5 * a[j] * a[i] * linalg.commutator(A[j], A[i])
     return C
-
-
-def _bch3_pair(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    XY = linalg.commutator(X, Y)
-    return (X + Y + 0.5 * XY
-            + (linalg.commutator(X, XY) + linalg.commutator(Y, -XY)) / 12.0)
-
-
-def bch_log_monodromy(sys: SwitchedSystem, w: Weights, eta: float,
-                      order: Optional[Sequence[int]] = None,
-                      truncation: int = 2) -> np.ndarray:
-    """Truncated log of the one-period monodromy built from (w, eta).
-
-    truncation=2 uses the closed-form eta*T*A_avg + (eta*T)^2 * C2;
-    truncation=3 folds the per-segment generators through the pairwise
-    BCH series kept to third order.
-    """
-    if truncation not in (2, 3):
-        raise ValueError(f"truncation must be 2 or 3, got {truncation}")
-    s = eta * w.period
-    p = _resolve_order(sys, order)
-    if truncation == 2:
-        A_avg = sum(w.alpha[i - 1] * sys.subsystems[i - 1].A for i in p)
-        return s * A_avg + s * s * bch_c2(sys, w, order)
-    gens = [s * w.alpha[i - 1] * sys.subsystems[i - 1].A for i in p]
-    Z = gens[0]
-    for X in gens[1:]:
-        Z = _bch3_pair(X, Z)
-    return Z
 
 
 def lemma4_bound_holds(sys: SwitchedSystem, w: Weights, eta: float,
@@ -201,11 +154,11 @@ def average_error_bound(A: np.ndarray, C: np.ndarray,
     return nct * math.exp(nat) * math.exp(nct)
 
 
-def transition_over_horizon(sys: SwitchedSystem, w: Weights, eta: float,
-                            horizon: float) -> np.ndarray:
-    """Transition matrix over a fixed horizon under the (w, eta) cycle.
+def average_deviation(sys: SwitchedSystem, w: Weights, eta: float,
+                      horizon: float = 1.0) -> float:
+    """||Phi(eta over horizon) - e^{A_avg * horizon}|| in the 2-norm.
 
-    The horizon must contain a whole number of eta*T periods.
+    The horizon must hold a whole number of eta*T periods.
     """
     sig = from_weights(w, eta)
     reps = horizon / sig.period
@@ -213,12 +166,6 @@ def transition_over_horizon(sys: SwitchedSystem, w: Weights, eta: float,
     if n_reps < 1 or abs(reps - n_reps) > 1e-9 * max(1.0, abs(reps)):
         raise ValueError(
             f"horizon {horizon} is not an integer multiple of the period {sig.period}")
-    return np.linalg.matrix_power(monodromy(sys, sig), n_reps)
-
-
-def average_deviation(sys: SwitchedSystem, w: Weights, eta: float,
-                      horizon: float = 1.0) -> float:
-    """||Phi(eta over horizon) - e^{A_avg * horizon}|| in the 2-norm."""
-    Phi = transition_over_horizon(sys, w, eta, horizon)
+    Phi = np.linalg.matrix_power(monodromy(sys, sig), n_reps)
     A_avg = average_system(sys, w).A
     return linalg.operator_norm_2(Phi - linalg.mat_exp(horizon * A_avg))

@@ -57,12 +57,23 @@ class TestAnalyze:
                         "--signal", tmp_path / "nope2.json", "--out", tmp_path])
         assert code == cli.EXIT_INVALID
 
-    def test_malformed_json_is_invalid(self, tmp_path, example1_files):
-        sys_path, _ = example1_files
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code = run_cli(["analyze", "--system", sys_path, "--signal", bad,
-                        "--out", tmp_path])
+    @pytest.mark.parametrize("flag, text", [
+        pytest.param("--signal", "{not json", id="not-json"),
+        pytest.param("--system", '{"subsystems": 5}', id="subsystems-int"),
+        pytest.param("--system", "[1]", id="system-list"),
+        pytest.param("--system", '{"subsystems": [{"A": {"a": 1}}]}',
+                     id="matrix-object"),
+        pytest.param("--signal", '{"segments": [5]}', id="segment-int"),
+        pytest.param("--signal", '{"segments": [{"index": null, "duration": 1}]}',
+                     id="index-null"),
+    ])
+    def test_malformed_json_is_invalid(self, tmp_path, example1_files,
+                                       flag, text):
+        paths = dict(zip(("--system", "--signal"), example1_files))
+        paths[flag] = tmp_path / "bad.json"
+        paths[flag].write_text(text)
+        code = run_cli(["analyze", "--system", paths["--system"],
+                        "--signal", paths["--signal"], "--out", tmp_path])
         assert code == cli.EXIT_INVALID
 
     def test_single_stable_subsystem(self, tmp_path):

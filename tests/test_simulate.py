@@ -7,8 +7,8 @@ from swstab.model import SubSystem, SwitchedSystem, Weights, average_system
 from swstab.signals import (NormMinPolicy, PeriodicSignal, Segment,
                             example_signal, shift)
 from swstab.simulate import (DivergenceError, NoAttractingCycleError,
-                             limit_cycle, norm_min_index, poincare_map,
-                             segment_step, simulate, simulate_norm_min)
+                             limit_cycle, poincare_map, segment_map,
+                             simulate, simulate_norm_min)
 from swstab.stability import monodromy
 from conftest import random_switched_system
 
@@ -18,7 +18,7 @@ class TestSegmentStep:
         from swstab.linalg import mat_exp
         sub = SubSystem(np.array([[0.0, 1.0], [-2.0, -0.5]]), np.zeros(2))
         x = np.array([1.0, -1.0])
-        np.testing.assert_allclose(segment_step(sub, x, 0.8),
+        np.testing.assert_allclose(segment_map(sub, 0.8)(x),
                                    mat_exp(0.8 * sub.A) @ x, atol=1e-13)
 
     def test_affine_closed_form(self, rng):
@@ -31,18 +31,18 @@ class TestSegmentStep:
             tau = rng.uniform(0.1, 2.0)
             E = mat_exp(tau * A)
             want = E @ x + np.linalg.solve(A, (E - np.eye(3)) @ b)
-            got = segment_step(SubSystem(A, b), x, tau)
+            got = segment_map(SubSystem(A, b), tau)(x)
             np.testing.assert_allclose(got, want, atol=1e-10 * max(
                 1.0, np.linalg.norm(want)))
 
     def test_equilibrium_is_fixed(self, example1):
         sub = example1.subsystems[0]
-        out = segment_step(sub, np.array([0.0, -1.0]), 1.7)
+        out = segment_map(sub, 1.7)(np.array([0.0, -1.0]))
         np.testing.assert_allclose(out, [0.0, -1.0], atol=1e-12)
 
     def test_nonpositive_tau_rejected(self, example1):
         with pytest.raises(ValueError):
-            segment_step(example1.subsystems[0], np.zeros(2), 0.0)
+            segment_map(example1.subsystems[0], 0.0)
 
 
 class TestSimulate:
@@ -183,8 +183,20 @@ class TestNormMin:
         traj = simulate_norm_min(lin, np.array([0.3, 0.9]), 2.0,
                                  NormMinPolicy(1e-2))
         for x, a in zip(traj.states, traj.active):
-            assert a == norm_min_index(lin, x)
+            vals = [x @ (sub.A @ x + sub.b) for sub in lin.subsystems]
+            assert a == int(np.argmin(vals)) + 1
 
     def test_origin_selects_first(self, example1):
         lin = example1.linear_part()
-        assert norm_min_index(lin, np.zeros(2)) == 1
+        traj = simulate_norm_min(lin, np.zeros(2), 1.0, NormMinPolicy(0.1))
+        assert np.all(traj.active == 1)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_state_diverges(self):
+        # e^{1000} overflows: the state becomes (inf, nan), whose norm is NaN
+        sys_ = SwitchedSystem((SubSystem(50.0 * np.eye(2), np.zeros(2)),))
+        with pytest.raises(DivergenceError) as exc:
+            simulate_norm_min(sys_, np.array([1.0, 0.0]), 40.0,
+                              NormMinPolicy(20.0))
+        assert exc.value.time == 20.0
+        np.testing.assert_array_equal(exc.value.trajectory.states, [[1.0, 0.0]])

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swstab import presets
 from swstab.linalg import commutator, mat_exp, operator_norm_2, spectrum
@@ -9,13 +12,27 @@ from swstab.model import SubSystem, SwitchedSystem, Weights, average_system
 from swstab.signals import (PeriodicSignal, Segment, example_signal, permute,
                             shift)
 from swstab.stability import (average_deviation, average_error_bound,
-                              bch_c2, bch_log_monodromy,
-                              det_monodromy_oracle, is_ici_stable,
-                              lemma4_bound_holds, monodromy,
-                              transition_over_horizon)
+                              bch_c2, det_monodromy_oracle, is_ici_stable,
+                              lemma4_bound_holds, monodromy)
 from conftest import random_switched_system
 
 HALF = Weights(np.array([0.5, 0.5]), 4.0)
+
+
+@st.composite
+def affine_system_and_signal(draw):
+    """Random affine system (n, m in 1..4) and a 1-6 segment signal."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    entry = st.floats(-2.0, 2.0)
+    subs = tuple(
+        SubSystem(np.array(draw(st.lists(entry, min_size=n * n,
+                                         max_size=n * n))).reshape(n, n),
+                  np.array(draw(st.lists(entry, min_size=n, max_size=n))))
+        for _ in range(m))
+    segs = draw(st.lists(st.tuples(st.integers(1, m), st.floats(0.05, 1.0)),
+                         min_size=1, max_size=6))
+    return SwitchedSystem(subs), PeriodicSignal(tuple(segs))
 
 
 def diag_system(*rates):
@@ -40,6 +57,16 @@ class TestMonodromy:
         # compose over horizon 1 at eta = 1e-3 and compare to e^{A_avg}
         w = Weights(np.array([0.5, 0.5]), 1.0)
         assert average_deviation(example1, w, 1e-3, 1.0) <= 1e-2
+
+    @settings(max_examples=100, deadline=None)
+    @given(affine_system_and_signal())
+    def test_equals_product_of_segment_exponentials(self, case):
+        sys_, sig = case
+        want = np.eye(sys_.n)
+        for idx, dur in sig.segments:       # earliest segment rightmost
+            want = scipy.linalg.expm(dur * sys_.subsystems[idx - 1].A) @ want
+        got = monodromy(sys_, sig)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_index_out_of_range(self, example1):
         with pytest.raises(IndexError):
@@ -111,7 +138,6 @@ class TestBchC2:
 
     def test_matches_log_monodromy_expansion(self, example1):
         # log(Phi) - eta*T*A_avg should approach (eta*T)^2 * C2 as eta -> 0
-        import scipy.linalg
         w = Weights(np.array([0.5, 0.5]), 1.0)
         C = bch_c2(example1, w)
         A_avg = average_system(example1, w).A
@@ -122,16 +148,6 @@ class TestBchC2:
             errs.append(np.linalg.norm(Z - eta * A_avg - eta * eta * C))
         # third-order remainder: halving eta cuts the error ~8x
         assert errs[1] <= errs[0] / 6.0
-
-    def test_third_order_truncation_is_closer(self, example1):
-        import scipy.linalg
-        w = Weights(np.array([0.5, 0.5]), 1.0)
-        eta = 0.2
-        sig = PeriodicSignal((Segment(1, 0.1), Segment(2, 0.1)))
-        Z = scipy.linalg.logm(monodromy(example1, sig))
-        e2 = np.linalg.norm(Z - bch_log_monodromy(example1, w, eta, truncation=2))
-        e3 = np.linalg.norm(Z - bch_log_monodromy(example1, w, eta, truncation=3))
-        assert e3 < e2
 
 
 class TestLemma4:
@@ -236,4 +252,4 @@ class TestInvariants:
     def test_horizon_must_divide(self, example1):
         w = Weights(np.array([0.5, 0.5]), 1.0)
         with pytest.raises(ValueError):
-            transition_over_horizon(example1, w, 0.3, 1.0)
+            average_deviation(example1, w, 0.3, 1.0)
