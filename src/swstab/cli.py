@@ -75,13 +75,20 @@ def _report(config: RunConfig, body: dict) -> dict:
     return out
 
 
+_TOLERANCE_NAMES = ("common_equilibrium", "refine_tol")
+
+
 def _parse_tols(items) -> dict:
     tols = {}
     for item in items or []:
         if "=" not in item:
             raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
         name, value = item.split("=", 1)
-        tols[name.strip()] = float(value)
+        name = name.strip()
+        if name not in _TOLERANCE_NAMES:
+            raise ValueError(f"unknown --tol name {name!r}; "
+                             f"known: {', '.join(_TOLERANCE_NAMES)}")
+        tols[name] = float(value)
     return tols
 
 
@@ -236,8 +243,7 @@ def _cmd_normmin(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_example(config: RunConfig, out: Path) -> int:
-    sys_ = presets.preset(config.example)
-    sig = example_signal(config.eta)
+    sys_, sig = _load_inputs(config)
     _write_json(out / "system.json", system_to_dict(sys_))
     _write_json(out / "signal.json", signal_to_dict(sig))
     if config.circle is None and not config.x0:
@@ -281,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dt", type=float, dest="sample_dt", metavar="DT",
                            help="sample step (policy step for normmin)")
             p.add_argument("--x0", action="append", metavar="CSV",
-                           help="initial condition, e.g. 1,0 (repeatable)")
+                           help="initial condition, e.g. 1,0 or --x0=-0.3,0.7 "
+                                "(repeatable)")
             p.add_argument("--circle", type=int,
                            help="K initial points on the unit circle")
         if synth:

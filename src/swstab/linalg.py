@@ -1,10 +1,10 @@
 """Dense small-matrix numerics shared by every analysis module.
 
-Thin, validating wrappers around numpy/scipy routines: matrix exponential
-(scaling-and-squaring Pade), eigenvalues (Hessenberg + shifted QR via
-LAPACK), induced 2-norm, LU-based determinant and solve, and the matrix
-commutator.  All functions are pure and operate on plain ``numpy.ndarray``
-values of float dtype.
+Plain kernels over numpy/scipy: matrix exponential (scaling-and-squaring
+Pade), eigenvalues (LAPACK Hessenberg + shifted QR), induced 2-norm and LU
+solve with a pivot check.  Kernels do not validate their arguments: outside
+arrays are checked once, by as_matrix / as_square / as_vector, in the model
+constructors and the entry points that take raw arrays.
 """
 
 from __future__ import annotations
@@ -32,11 +32,7 @@ class SingularMatrixError(LinalgError):
 
 
 class NumericalError(LinalgError):
-    """Iterative kernel failed to converge."""
-
-    def __init__(self, message: str, iterations: int = 0):
-        super().__init__(message)
-        self.iterations = iterations
+    """Eigenvalue computation failed: no convergence or non-finite entries."""
 
 
 def as_matrix(M) -> np.ndarray:
@@ -67,17 +63,15 @@ def as_vector(v) -> np.ndarray:
 
 def mat_exp(M) -> np.ndarray:
     """Matrix exponential e^M (scaling-and-squaring with Pade approximant)."""
-    return scipy.linalg.expm(as_square(M))
+    return scipy.linalg.expm(M)
 
 
 def spectrum(M) -> np.ndarray:
     """All eigenvalues of a square real matrix, as a complex array."""
-    A = as_square(M)
     try:
-        return np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:  # QR iteration failed to converge
-        raise NumericalError(f"eigenvalue iteration did not converge: {exc}",
-                             iterations=100 * A.shape[0]) from exc
+        return np.linalg.eigvals(M)
+    except np.linalg.LinAlgError as exc:  # non-finite entries or no convergence
+        raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
 
 
 def spectral_radius(M) -> float:
@@ -92,11 +86,7 @@ def spectral_abscissa(M) -> float:
 
 def operator_norm_2(M) -> float:
     """Induced 2-norm, sqrt of the spectral radius of M^T M."""
-    return float(np.linalg.norm(as_matrix(M), 2))
-
-
-def determinant(M) -> float:
-    return float(np.linalg.det(as_square(M)))
+    return float(np.linalg.norm(M, 2))
 
 
 def solve(M, rhs) -> np.ndarray:
@@ -105,29 +95,15 @@ def solve(M, rhs) -> np.ndarray:
     Raises SingularMatrixError, carrying the offending pivot magnitude,
     when the factorisation produces a pivot at round-off level.
     """
-    A = as_square(M)
-    b = as_vector(rhs)
-    if b.shape[0] != A.shape[0]:
-        raise DimensionError(
-            f"rhs length {b.shape[0]} does not match matrix size {A.shape[0]}")
     with warnings.catch_warnings():
         # the zero-pivot warning becomes a SingularMatrixError below
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
+        lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
     diag = np.abs(np.diag(lu))
-    scale = max(np.max(np.abs(A)), 1.0)
+    scale = max(np.max(np.abs(M)), 1.0)
     pivot_min = float(np.min(diag)) if diag.size else 0.0
-    if pivot_min <= A.shape[0] * np.finfo(float).eps * scale:
+    if pivot_min <= M.shape[0] * np.finfo(float).eps * scale:
         raise SingularMatrixError(
             f"matrix is singular to working precision (pivot {pivot_min:.3e})",
             pivot=pivot_min)
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-
-
-def commutator(X, Y) -> np.ndarray:
-    """[X, Y] = XY - YX."""
-    A = as_square(X)
-    B = as_square(Y)
-    if A.shape != B.shape:
-        raise DimensionError(f"commutator shape mismatch: {A.shape} vs {B.shape}")
-    return A @ B - B @ A
+    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)

@@ -49,10 +49,6 @@ class SubSystem:
     def n(self) -> int:
         return self.A.shape[0]
 
-    @property
-    def is_linear(self) -> bool:
-        return bool(np.all(self.b == 0.0))
-
 
 @dataclass(frozen=True)
 class SwitchedSystem:
@@ -78,10 +74,6 @@ class SwitchedSystem:
     @property
     def n(self) -> int:
         return self.subsystems[0].n
-
-    @property
-    def is_linear(self) -> bool:
-        return all(sub.is_linear for sub in self.subsystems)
 
     def linear_part(self) -> "SwitchedSystem":
         """The same system with every affine drift zeroed."""

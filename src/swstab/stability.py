@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,11 +63,14 @@ def monodromy(sys: SwitchedSystem, sig: PeriodicSignal) -> np.ndarray:
 def det_monodromy_oracle(sys: SwitchedSystem, sig: PeriodicSignal) -> float:
     """Exact determinant of the monodromy, independent of segment order.
 
-    det(prod e^{tau_k A_k}) = exp(sum_k tau_k tr(A_k)).
+    det(prod e^{tau_k A_k}) = exp(sum_k tau_k tr(A_k)); inf on overflow.
     """
     check_indices(sys, sig)
-    return math.exp(sum(dur * np.trace(sys.subsystems[idx - 1].A)
-                        for idx, dur in sig.segments))
+    try:
+        return math.exp(sum(dur * np.trace(sys.subsystems[idx - 1].A)
+                            for idx, dur in sig.segments))
+    except OverflowError:
+        return math.inf
 
 
 def is_ici_stable(sys: SwitchedSystem, sig: PeriodicSignal,
@@ -78,7 +81,7 @@ def is_ici_stable(sys: SwitchedSystem, sig: PeriodicSignal,
     return StabilityReport(
         monodromy=Phi,
         spectral_radius=rho,
-        determinant=linalg.determinant(Phi),
+        determinant=float(np.linalg.det(Phi)),
         det_oracle=det_monodromy_oracle(sys, sig),
         is_stable=rho < 1.0,
         norm_condition_holds=linalg.operator_norm_2(Phi) < 1.0,
@@ -87,34 +90,30 @@ def is_ici_stable(sys: SwitchedSystem, sig: PeriodicSignal,
     )
 
 
-def bch_c2(sys: SwitchedSystem, w: Weights,
-           order: Optional[Sequence[int]] = None) -> np.ndarray:
+def bch_c2(sys: SwitchedSystem, w: Weights) -> np.ndarray:
     """Second-order commutator correction of the log-monodromy.
 
-    For the one-cycle product e^{s a_m A_{p(m)}} ... e^{s a_1 A_{p(1)}} with
-    s = eta*T, log = s * sum_i a_i A_{p(i)} + s^2 * C2 + O(s^3) where
+    For the one-cycle product e^{s a_m A_m} ... e^{s a_1 A_1} with s = eta*T,
+    i.e. subsystems active in index order as from_weights builds the signal,
+    log = s * sum_i a_i A_i + s^2 * C2 + O(s^3) where
 
-        C2 = 1/2 * sum_{j > i} a_j a_i [A_{p(j)}, A_{p(i)}]
+        C2 = 1/2 * sum_{j > i} a_j a_i [A_j, A_i],   [X, Y] = XY - YX.
 
-    and p is the activation order.  Commuting subsystems give C2 = 0.
+    Commuting subsystems give C2 = 0.
     """
     if w.m != sys.m:
         raise ValueError(f"weights length {w.m} != subsystem count {sys.m}")
-    p = list(range(1, sys.m + 1)) if order is None else [int(i) for i in order]
-    if sorted(p) != list(range(1, sys.m + 1)):
-        raise ValueError(f"order {p!r} is not a permutation of 1..{sys.m}")
-    a = [w.alpha[i - 1] for i in p]
-    A = [sys.subsystems[i - 1].A for i in p]
+    a = w.alpha
+    A = [sub.A for sub in sys.subsystems]
     C = np.zeros((sys.n, sys.n))
     for j in range(sys.m):
         for i in range(j):
-            C += 0.5 * a[j] * a[i] * linalg.commutator(A[j], A[i])
+            C += 0.5 * a[j] * a[i] * (A[j] @ A[i] - A[i] @ A[j])
     return C
 
 
 def lemma4_bound_holds(sys: SwitchedSystem, w: Weights, eta: float,
-                       k_list: Sequence[int] = DEFAULT_K_LIST,
-                       order: Optional[Sequence[int]] = None) -> bool:
+                       k_list: Sequence[int] = DEFAULT_K_LIST) -> bool:
     """Conservative sufficient condition for stability at dwell scale eta.
 
     With s = eta*T and C the second-order commutator correction, checks
@@ -130,7 +129,7 @@ def lemma4_bound_holds(sys: SwitchedSystem, w: Weights, eta: float,
     ks = [int(k) for k in k_list]
     if not ks or any(k < 1 for k in ks):
         raise ValueError("k_list must be a nonempty list of positive integers")
-    C = bch_c2(sys, w, order)
+    C = bch_c2(sys, w)
     A_avg = average_system(sys, w).A
     s = eta * w.period
     for k in ks:
@@ -149,8 +148,8 @@ def average_error_bound(A: np.ndarray, C: np.ndarray,
     """
     if not (eta > 0.0 and T > 0.0):
         raise ValueError("eta and T must be positive")
-    nct = eta * T * linalg.operator_norm_2(C)
-    nat = T * linalg.operator_norm_2(A)
+    nct = eta * T * linalg.operator_norm_2(linalg.as_matrix(C))
+    nat = T * linalg.operator_norm_2(linalg.as_matrix(A))
     return nct * math.exp(nat) * math.exp(nct)
 
 
@@ -158,7 +157,9 @@ def average_deviation(sys: SwitchedSystem, w: Weights, eta: float,
                       horizon: float = 1.0) -> float:
     """||Phi(eta over horizon) - e^{A_avg * horizon}|| in the 2-norm.
 
-    The horizon must hold a whole number of eta*T periods.
+    The horizon must hold a whole number of eta*T periods.  Returns nan
+    when the monodromy power overflows to infinity; numpy raises LinAlgError
+    instead when the overflow leaves NaN entries.
     """
     sig = from_weights(w, eta)
     reps = horizon / sig.period

@@ -59,14 +59,12 @@ def _simplex_grid(m: int, steps: int):
 
 
 def find_stable_combination(matrices: Sequence[np.ndarray],
-                            resolution: float = 0.05,
-                            refine: bool = True,
-                            period: float = 1.0) -> CombinationResult:
+                            resolution: float = 0.05) -> CombinationResult:
     """Minimise the spectral abscissa of sum_i alpha_i A_i over the simplex.
 
-    Coarse grid scan at the given resolution, then an optional derivative-free
+    Coarse grid scan at the given resolution, then a derivative-free
     (Nelder-Mead) refinement from the best grid point; the abscissa is
-    nonsmooth, so no gradients are used.
+    nonsmooth, so no gradients are used.  The weights carry period 1.
     """
     mats = [linalg.as_square(M) for M in matrices]
     m = len(mats)
@@ -95,23 +93,23 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
             val = abscissa(alpha)
             if val < best_val:
                 best_alpha, best_val = alpha, val
-        if refine:
-            def objective(z: np.ndarray) -> float:
-                az = np.abs(z)
-                s = az.sum()
-                if s <= 0.0:
-                    return np.inf
-                return abscissa(az / s)
 
-            res = scipy.optimize.minimize(
-                objective, best_alpha + 1e-3, method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
-            if np.isfinite(res.fun) and res.fun < best_val:
-                z = np.abs(res.x)
-                best_alpha, best_val = z / z.sum(), float(res.fun)
+        def objective(z: np.ndarray) -> float:
+            az = np.abs(z)
+            s = az.sum()
+            if s <= 0.0:
+                return np.inf
+            return abscissa(az / s)
+
+        res = scipy.optimize.minimize(
+            objective, best_alpha + 1e-3, method="Nelder-Mead",
+            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
+        if np.isfinite(res.fun) and res.fun < best_val:
+            z = np.abs(res.x)
+            best_alpha, best_val = z / z.sum(), float(res.fun)
 
     return CombinationResult(
-        weights=Weights(best_alpha, period),
+        weights=Weights(best_alpha),
         abscissa=float(best_val),
         found=bool(best_val < 0.0),
         evaluations=evaluations,

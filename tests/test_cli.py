@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +23,27 @@ def example1_files(tmp_path):
         {"segments": [{"index": 1, "duration": 2.0},
                       {"index": 2, "duration": 2.0}]}))
     return sys_path, sig_path
+
+
+def write_specs(tmp_path, matrices, durations):
+    """System of linear subsystems and a signal cycling them in order."""
+    sys_path = tmp_path / "s.json"
+    sig_path = tmp_path / "g.json"
+    sys_path.write_text(json.dumps(
+        {"subsystems": [{"A": A} for A in matrices]}))
+    sig_path.write_text(json.dumps({"segments": [
+        {"index": k + 1, "duration": d} for k, d in enumerate(durations)]}))
+    return sys_path, sig_path
+
+
+@pytest.mark.parametrize("command", ["analyze", "cycle"])
+def test_overflowing_monodromy_is_numerical_failure(tmp_path, capsys, command):
+    # e^{50 * 20} overflows; the eigenvalue kernel reports it
+    sys_path, sig_path = write_specs(tmp_path, [[[50, 0], [0, 50]]], [20.0])
+    code = run_cli([command, "--system", sys_path, "--signal", sig_path,
+                    "--out", tmp_path])
+    assert code == cli.EXIT_NUMERICAL
+    assert "numerical failure: " in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -87,6 +109,27 @@ class TestAnalyze:
                         "--out", tmp_path])
         assert code == cli.EXIT_OK
         assert json.loads((tmp_path / "analysis.json").read_text())["is_stable"]
+
+    def test_overflowing_dwell_bound_is_false(self, tmp_path):
+        # the commutator side of the dwell bound overflows to inf
+        sys_path, sig_path = write_specs(
+            tmp_path, [[[-1, 30], [0, -1]], [[-1, 0], [30, -1]]], [5.0, 5.0])
+        code = run_cli(["analyze", "--system", sys_path, "--signal", sig_path,
+                        "--out", tmp_path])
+        assert code == cli.EXIT_UNSTABLE
+        report = json.loads((tmp_path / "analysis.json").read_text())
+        assert report["lemma4_bound_holds"] is False
+        assert report["spectral_radius"] == pytest.approx(1.0216, abs=1e-4)
+
+    def test_overflowing_det_oracle_is_inf(self, tmp_path):
+        # rho = e^400 is finite, the oracle's e^800 is not
+        sys_path, sig_path = write_specs(tmp_path, [[[200, 0], [0, 200]]], [2.0])
+        code = run_cli(["analyze", "--system", sys_path, "--signal", sig_path,
+                        "--out", tmp_path])
+        assert code == cli.EXIT_UNSTABLE
+        report = json.loads((tmp_path / "analysis.json").read_text())
+        assert report["det_oracle"] == math.inf
+        assert report["is_stable"] is False
 
 
 class TestSynthesize:
@@ -222,6 +265,8 @@ class TestFlags:
             "common_equilibrium": 1e-6}
         with pytest.raises(ValueError):
             cli._parse_tols(["oops"])
+        with pytest.raises(ValueError, match="common_equilibrium, refine_tol"):
+            cli._parse_tols(["refine_tl=1e-6"])
 
     def test_k_list_parsing(self):
         assert cli._parse_k_list("1,2,4") == [1, 2, 4]

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swstab import linalg
-from swstab.linalg import (DimensionError, SingularMatrixError, commutator,
-                           determinant, mat_exp, operator_norm_2, solve,
-                           spectral_abscissa, spectral_radius, spectrum)
+from swstab.linalg import (NumericalError, SingularMatrixError, mat_exp,
+                           operator_norm_2, solve, spectral_abscissa,
+                           spectral_radius, spectrum)
 
 A1 = np.array([[-2.1, -2.0], [0.5, 1.0]])
 A2 = np.array([[1.0, 2.0], [0.1, -2.0]])
@@ -40,16 +40,12 @@ class TestMatExp:
         E = mat_exp(np.array([[0.0, 1.0], [0.0, 0.0]]))
         np.testing.assert_allclose(E, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
-    def test_non_square_rejected(self):
-        with pytest.raises(DimensionError):
-            mat_exp(np.zeros((2, 3)))
-
     @settings(max_examples=50, deadline=None)
     @given(square_matrices())
     def test_det_trace_identity(self, M):
         # det(e^M) = e^{tr M}
         expected = math.exp(np.trace(M))
-        assert determinant(mat_exp(M)) == pytest.approx(expected, rel=1e-10)
+        assert np.linalg.det(mat_exp(M)) == pytest.approx(expected, rel=1e-10)
 
     @settings(max_examples=50, deadline=None)
     @given(square_matrices())
@@ -92,6 +88,11 @@ class TestSpectrum:
         eigs = spectrum(np.array([[0.0, -2.0], [3.0, 0.0]]))
         assert sorted(eigs.imag)[0] == pytest.approx(-sorted(eigs.imag)[1])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_is_numerical_error(self, bad):
+        with pytest.raises(NumericalError, match="eigenvalue computation failed"):
+            spectrum(np.array([[bad, 0.0], [0.0, 1.0]]))
+
 
 class TestSpectralScalars:
     def test_abscissa_of_triangular_average(self):
@@ -127,9 +128,6 @@ class TestNorm:
 
 
 class TestDetSolve:
-    def test_determinant_benchmark(self):
-        assert determinant(A1) == pytest.approx(-1.1, rel=1e-12)
-
     def test_solve_for_equilibrium(self):
         x = solve(A1, np.array([2.0, -1.0]))
         np.testing.assert_allclose(x, [0.0, -1.0], atol=1e-12)
@@ -149,25 +147,6 @@ class TestDetSolve:
             b = rng.normal(size=4)
             x = solve(M, b)
             assert np.linalg.norm(M @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-
-class TestCommutator:
-    def test_self(self):
-        np.testing.assert_allclose(commutator(A1, A1), np.zeros((2, 2)))
-
-    def test_diagonals_commute(self):
-        np.testing.assert_allclose(
-            commutator(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])),
-            np.zeros((2, 2)))
-
-    def test_ladder_pair(self):
-        up = np.array([[0.0, 1.0], [0.0, 0.0]])
-        down = np.array([[0.0, 0.0], [1.0, 0.0]])
-        np.testing.assert_allclose(commutator(up, down), np.diag([1.0, -1.0]))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            commutator(np.eye(2), np.eye(3))
 
 
 def test_finite_entries_enforced():

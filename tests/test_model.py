@@ -20,11 +20,6 @@ class TestTypes:
             SwitchedSystem((SubSystem(np.eye(2), np.zeros(2)),
                             SubSystem(np.eye(3), np.zeros(3))))
 
-    def test_linear_flag(self):
-        sub = SubSystem(np.eye(2), np.zeros(2))
-        assert sub.is_linear
-        assert not SubSystem(np.eye(2), np.array([1.0, 0.0])).is_linear
-
     def test_weights_validation(self):
         Weights(np.array([0.5, 0.5]), 2.0)
         with pytest.raises(ValueError):
@@ -142,7 +137,7 @@ class TestJson:
 
     def test_omitted_b_is_zero(self):
         sys_ = system_from_dict({"subsystems": [{"A": [[-1.0, 0.0], [0.0, -1.0]]}]})
-        assert sys_.is_linear
+        assert np.all(sys_.subsystems[0].b == 0.0)
 
     def test_dimension_declaration_checked(self):
         with pytest.raises(ValueError):
