@@ -20,16 +20,17 @@ import numpy as np
 
 from . import __version__, presets
 from .linalg import LinalgError
-from .model import (SwitchedSystem, common_equilibrium, average_system,
-                    equilibrium, EquilibriumError, load_system,
-                    system_to_dict)
+from .model import (DEFAULT_EQUILIBRIUM_TOL, SwitchedSystem,
+                    common_equilibrium, average_system, equilibrium,
+                    EquilibriumError, load_system, system_to_dict)
 from .signals import (NormMinPolicy, PeriodicSignal, activation_fractions,
                       example_signal, load_signal, scale, signal_to_dict)
 from .stability import DEFAULT_K_LIST, is_ici_stable, lemma4_bound_holds
 from .simulate import (DivergenceError, NoAttractingCycleError,
                        DegenerateCycleError, limit_cycle, simulate,
                        simulate_norm_min)
-from .synthesis import find_stable_combination, max_stable_eta
+from .synthesis import (DEFAULT_REFINE_TOL, find_stable_combination,
+                        max_stable_eta)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -169,7 +170,7 @@ def _cmd_analyze(config: RunConfig, out: Path) -> int:
     body["activation_fractions"] = w.alpha.tolist()
     body["lemma4_bound_holds"] = lemma4_bound_holds(
         sys_, w, 1.0, k_list=config.k_list)
-    tol = config.tolerances.get("common_equilibrium", 1e-9)
+    tol = config.tolerances.get("common_equilibrium", DEFAULT_EQUILIBRIUM_TOL)
     try:
         eq = common_equilibrium(sys_, tol=tol)
         body["common_equilibrium"] = None if eq is None else eq.tolist()
@@ -189,7 +190,7 @@ def _cmd_synthesize(config: RunConfig, out: Path) -> int:
     search = max_stable_eta(
         sys_, comb.weights, eta_max=config.eta_max,
         grid_points=config.grid_points,
-        refine_tol=config.tolerances.get("refine_tol", 1e-3))
+        refine_tol=config.tolerances.get("refine_tol", DEFAULT_REFINE_TOL))
     _write_json(out / "eta_search.json", _report(config, search.to_dict()))
     with open(out / "eta_grid.csv", "w") as fh:
         fh.write("eta,spectral_radius\n")

@@ -9,6 +9,7 @@ constructors and the entry points that take raw arrays.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -85,7 +86,13 @@ def spectral_abscissa(M) -> float:
 
 
 def operator_norm_2(M) -> float:
-    """Induced 2-norm, sqrt of the spectral radius of M^T M."""
+    """Induced 2-norm, sqrt of the spectral radius of M^T M.
+
+    nan when M has a non-finite entry (an overflowed exponential), so every
+    ``norm < bound`` test on it comes out false.
+    """
+    if not np.all(np.isfinite(M)):
+        return math.nan
     return float(np.linalg.norm(M, 2))
 
 

@@ -3,7 +3,7 @@ dwell-time scale at which the constructed periodic signal still stabilises."""
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -51,48 +51,97 @@ class EtaSearchResult:
         }
 
 
-def _simplex_grid(m: int, steps: int):
-    """All weight vectors with entries k/steps summing to 1."""
-    for comp in itertools.combinations_with_replacement(range(m), steps):
-        counts = np.bincount(comp, minlength=m)
-        yield counts / steps
+# Grid points whose abscissae one stacked eigenvalue call computes.
+_SCAN_BLOCK = 256
+# Most simplex-grid entries (points x weights) a scan may hold: 100 MB.
+MAX_GRID_ENTRIES = 12_500_000
+# Bisection tolerance on eta of max_stable_eta.
+DEFAULT_REFINE_TOL = 1e-3
+
+
+def _grid_steps(m: int, resolution: float) -> int:
+    """Grid divisions per unit weight; refuses a grid too large to scan."""
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
+    # clipping keeps round() finite; for m >= 2 a clipped grid is refused
+    steps = max(1, round(min(1.0 / resolution, MAX_GRID_ENTRIES)))
+    if math.comb(steps + m - 1, m - 1) * m > MAX_GRID_ENTRIES:
+        raise ValueError(f"resolution {resolution} needs a simplex grid of "
+                         f"more than {MAX_GRID_ENTRIES} weights for {m} "
+                         "matrices")
+    return steps
+
+
+def _simplex_grid(m: int, steps: int) -> np.ndarray:
+    """All weight vectors with entries k/steps summing to 1, as a (G, m) array.
+
+    Rows follow itertools.combinations_with_replacement(range(m), steps):
+    (steps, 0, ..., 0)/steps first, (0, ..., 0, steps)/steps last.
+    """
+    # column j holds steps - (c_0 + ... + c_j); rows are non-increasing and
+    # in ascending lexicographic order, which is the order of the counts c
+    tails = np.arange(steps + 1)[:, None] if m > 1 else np.zeros((1, 0), int)
+    for _ in range(m - 2):
+        reps = tails[:, -1] + 1
+        starts = np.cumsum(reps) - reps
+        column = np.arange(starts[-1] + reps[-1]) - np.repeat(starts, reps)
+        tails = np.column_stack([np.repeat(tails, reps, axis=0), column])
+    G = len(tails)
+    bounds = np.hstack([np.full((G, 1), steps), tails, np.zeros((G, 1), int)])
+    return (bounds[:, :-1] - bounds[:, 1:]) / steps
+
+
+def _scan(grid: np.ndarray, flat: np.ndarray,
+          n: int) -> tuple[np.ndarray, float]:
+    """First grid point of least spectral abscissa, with that abscissa."""
+    best_k, best_val = 0, np.inf
+    for start in range(0, len(grid), _SCAN_BLOCK):
+        block = grid[start:start + _SCAN_BLOCK]
+        # a vector-matrix product per row rounds as (alpha @ flat) does;
+        # one matrix-matrix product over the block would not
+        mats = (block[:, None, :] @ flat).reshape(-1, n, n)
+        vals = linalg.spectrum(mats).real.max(axis=-1)
+        k = int(np.argmin(vals))
+        if vals[k] < best_val:
+            best_k, best_val = start + k, float(vals[k])
+    return grid[best_k], best_val
 
 
 def find_stable_combination(matrices: Sequence[np.ndarray],
                             resolution: float = 0.05) -> CombinationResult:
     """Minimise the spectral abscissa of sum_i alpha_i A_i over the simplex.
 
-    Coarse grid scan at the given resolution, then a derivative-free
-    (Nelder-Mead) refinement from the best grid point; the abscissa is
-    nonsmooth, so no gradients are used.  The weights carry period 1.
+    Coarse grid scan at the given resolution, in stacked eigenvalue calls,
+    then a derivative-free (Nelder-Mead) refinement from the best grid point;
+    the abscissa is nonsmooth, so no gradients are used.  The weights carry
+    period 1.  A resolution that is not finite and positive, or whose grid
+    would exceed MAX_GRID_ENTRIES weights, raises ValueError before any work.
     """
-    mats = [linalg.as_square(M) for M in matrices]
-    m = len(mats)
+    m = len(matrices)
     if m == 0:
         raise ValueError("need at least one matrix")
+    steps = _grid_steps(m, resolution)
+    mats = [linalg.as_square(M) for M in matrices]
     n = mats[0].shape[0]
     for M in mats:
         if M.shape != (n, n):
             raise linalg.DimensionError("matrices must share a common dimension")
-    stacked = np.stack(mats)
+    flat = np.stack(mats).reshape(m, n * n)
 
     evaluations = 0
 
     def abscissa(alpha: np.ndarray) -> float:
         nonlocal evaluations
         evaluations += 1
-        return linalg.spectral_abscissa(np.tensordot(alpha, stacked, axes=1))
+        return linalg.spectral_abscissa((alpha @ flat).reshape(n, n))
 
     if m == 1:
         best_alpha = np.array([1.0])
         best_val = abscissa(best_alpha)
     else:
-        steps = max(1, round(1.0 / resolution))
-        best_alpha, best_val = None, np.inf
-        for alpha in _simplex_grid(m, steps):
-            val = abscissa(alpha)
-            if val < best_val:
-                best_alpha, best_val = alpha, val
+        grid = _simplex_grid(m, steps)
+        best_alpha, best_val = _scan(grid, flat, n)
+        evaluations += len(grid)
 
         def objective(z: np.ndarray) -> float:
             az = np.abs(z)
@@ -124,7 +173,7 @@ def default_eta_max(sys: SwitchedSystem, w: Weights) -> float:
 def max_stable_eta(sys: SwitchedSystem, w: Weights,
                    eta_max: Optional[float] = None,
                    grid_points: int = 50,
-                   refine_tol: float = 1e-3) -> EtaSearchResult:
+                   refine_tol: float = DEFAULT_REFINE_TOL) -> EtaSearchResult:
     """Supremum of the stable dwell-scale interval anchored at eta -> 0.
 
     Scans rho(Phi(eta)) on a uniform grid up to eta_max; eta_star is located

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from swstab import cli
-from swstab.model import load_system, system_to_dict
+from swstab.model import DEFAULT_EQUILIBRIUM_TOL, load_system, system_to_dict
+from swstab.synthesis import DEFAULT_REFINE_TOL, max_stable_eta
 from swstab.signals import load_signal, example_signal
 from swstab import presets
 
@@ -121,6 +123,20 @@ class TestAnalyze:
         assert report["lemma4_bound_holds"] is False
         assert report["spectral_radius"] == pytest.approx(1.0216, abs=1e-4)
 
+    def test_overflowing_norm_is_unstable(self, tmp_path):
+        # the dwell bound's exponentials overflow to nan entries, whose
+        # 2-norm is nan; the system is valid and unstable
+        sys_path, sig_path = write_specs(
+            tmp_path, [[[-5, -4], [2, -1]], [[18, -11], [-4, 17]]],
+            [20.0, 20.0])
+        code = run_cli(["analyze", "--system", sys_path, "--signal", sig_path,
+                        "--out", tmp_path])
+        assert code == cli.EXIT_UNSTABLE
+        report = json.loads((tmp_path / "analysis.json").read_text())
+        assert report["lemma4_bound_holds"] is False
+        assert report["norm_condition_holds"] is False
+        assert report["is_stable"] is False
+
     def test_overflowing_det_oracle_is_inf(self, tmp_path):
         # rho = e^400 is finite, the oracle's e^800 is not
         sys_path, sig_path = write_specs(tmp_path, [[[200, 0], [0, 200]]], [2.0])
@@ -147,6 +163,42 @@ class TestSynthesize:
         lines = (out / "eta_grid.csv").read_text().strip().split("\n")
         assert lines[0] == "eta,spectral_radius"
         assert len(lines) == 31
+
+    @pytest.mark.parametrize("resolution", ["0", "-0.5", "nan", "1e-300",
+                                            "1e-7"])
+    def test_bad_resolution_is_invalid(self, tmp_path, capsys, resolution):
+        sys_path, _ = write_specs(tmp_path, [[[-1, 0], [0, -1]]] * 2, [1.0])
+        code = run_cli(["synthesize", "--system", sys_path,
+                        f"--resolution={resolution}", "--out", tmp_path])
+        assert code == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: resolution") and err.count("\n") == 1
+        assert not (tmp_path / "combination.json").exists()
+
+    def test_default_tolerances_are_library_defaults(self, tmp_path,
+                                                     example1_files,
+                                                     monkeypatch):
+        seen = {}
+
+        def recording(fn, key):
+            def wrapped(*args, **kwargs):
+                seen[key] = kwargs[key]
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cli, "common_equilibrium",
+                            recording(cli.common_equilibrium, "tol"))
+        monkeypatch.setattr(cli, "max_stable_eta",
+                            recording(cli.max_stable_eta, "refine_tol"))
+        sys_path, sig_path = example1_files
+        run_cli(["synthesize", "--system", sys_path, "--resolution", "0.1",
+                 "--grid-points", "5", "--out", tmp_path])
+        run_cli(["analyze", "--system", sys_path, "--signal", sig_path,
+                 "--out", tmp_path])
+        assert seen == {"tol": DEFAULT_EQUILIBRIUM_TOL,
+                        "refine_tol": DEFAULT_REFINE_TOL}
+        assert inspect.signature(max_stable_eta).parameters[
+            "refine_tol"].default == DEFAULT_REFINE_TOL
 
     def test_infeasible_returns_unstable(self, tmp_path):
         sys_path = tmp_path / "s.json"

@@ -126,6 +126,10 @@ class TestNorm:
         assert operator_norm_2(np.array([[0.0, 1.0], [0.0, 0.0]])) == \
             pytest.approx(1.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_is_nan(self, bad):
+        assert math.isnan(operator_norm_2(np.array([[1.0, bad], [0.0, 1.0]])))
+
 
 class TestDetSolve:
     def test_solve_for_equilibrium(self):

@@ -1,13 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swstab import presets
+from swstab import presets, synthesis
 from swstab.linalg import spectral_abscissa
 from swstab.model import Weights
 from swstab.signals import activation_fractions, from_weights
 from swstab.stability import is_ici_stable
-from swstab.synthesis import (default_eta_max, find_stable_combination,
-                              max_stable_eta)
+from swstab.synthesis import (MAX_GRID_ENTRIES, default_eta_max,
+                              find_stable_combination, max_stable_eta)
 from conftest import random_stable_pair
 
 
@@ -52,6 +57,90 @@ class TestFindStableCombination:
         from swstab.linalg import DimensionError
         with pytest.raises(DimensionError):
             find_stable_combination([np.eye(2), np.eye(3)])
+
+
+def per_point_combination(matrices, resolution):
+    """find_stable_combination as one abscissa call per grid point: the
+    scan-then-Nelder-Mead reference the stacked scan must reproduce."""
+    stacked = np.stack(matrices)
+    m = len(matrices)
+    evaluations = 0
+
+    def abscissa(alpha):
+        nonlocal evaluations
+        evaluations += 1
+        return spectral_abscissa(np.tensordot(alpha, stacked, axes=1))
+
+    steps = max(1, round(1.0 / resolution))
+    best_alpha, best_val = None, np.inf
+    for comp in itertools.combinations_with_replacement(range(m), steps):
+        alpha = np.bincount(comp, minlength=m) / steps
+        val = abscissa(alpha)
+        if val < best_val:
+            best_alpha, best_val = alpha, val
+
+    def objective(z):
+        az = np.abs(z)
+        s = az.sum()
+        return np.inf if s <= 0.0 else abscissa(az / s)
+
+    res = scipy.optimize.minimize(
+        objective, best_alpha + 1e-3, method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
+    if np.isfinite(res.fun) and res.fun < best_val:
+        z = np.abs(res.x)
+        best_alpha, best_val = z / z.sum(), float(res.fun)
+    return best_alpha, float(best_val), evaluations
+
+
+class TestStackedScan:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 9))
+    def test_grid_matches_combinations(self, m, steps):
+        expected = np.array([
+            np.bincount(comp, minlength=m) / steps
+            for comp in itertools.combinations_with_replacement(range(m),
+                                                                steps)])
+        grid = synthesis._simplex_grid(m, steps)
+        assert grid.shape == expected.shape
+        assert np.array_equal(grid, expected)
+
+    # (3, 2, 0.02) has 1326 grid points: its scan spans six blocks
+    @pytest.mark.parametrize("m, n, resolution", [
+        (2, 2, 0.01), (2, 3, 0.02), (2, 4, 0.05), (3, 2, 0.02), (3, 3, 0.05),
+        (3, 4, 0.05), (4, 2, 0.1), (4, 3, 0.1), (4, 4, 0.125)])
+    def test_equals_per_point_reference(self, m, n, resolution):
+        matrices = list(np.random.default_rng([m, n]).normal(size=(m, n, n)))
+        result = find_stable_combination(matrices, resolution=resolution)
+        alpha, val, evaluations = per_point_combination(matrices, resolution)
+        assert np.array_equal(result.weights.alpha, alpha)
+        assert result.abscissa == val
+        assert result.evaluations == evaluations
+
+
+class TestResolution:
+    @pytest.mark.parametrize("resolution", [0.0, -0.1, np.nan, np.inf])
+    def test_not_finite_positive_rejected(self, resolution):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            find_stable_combination([np.eye(2), -np.eye(2)], resolution)
+
+    @pytest.mark.parametrize("m, resolution", [
+        (2, 1e-7), (2, 1e-300), (2, 5e-324), (3, 1e-4), (5, 0.01)])
+    def test_oversized_grid_refused_before_allocation(self, monkeypatch,
+                                                      m, resolution):
+        def no_grid(*args):
+            raise AssertionError("grid built for a refused resolution")
+        monkeypatch.setattr(synthesis, "_simplex_grid", no_grid)
+        with pytest.raises(ValueError, match=str(MAX_GRID_ENTRIES)):
+            find_stable_combination([-np.eye(2)] * m, resolution)
+
+    def test_cap_boundary(self):
+        # m = 4 at 0.01 is 176851 points, m = 5 at 0.01 is 4598126
+        assert synthesis._grid_steps(4, 0.01) == 100
+        with pytest.raises(ValueError):
+            synthesis._grid_steps(5, 0.01)
+        # a single matrix needs no grid, whatever the resolution
+        assert find_stable_combination([-np.eye(2)], 1e-300).found
 
 
 class TestMaxStableEta:
