@@ -21,16 +21,16 @@ import numpy as np
 from . import __version__, presets
 from .linalg import LinalgError
 from .model import (DEFAULT_EQUILIBRIUM_TOL, SwitchedSystem,
-                    common_equilibrium, average_system, equilibrium,
-                    EquilibriumError, load_system, system_to_dict)
+                    common_equilibrium, EquilibriumError, load_system,
+                    system_to_dict)
 from .signals import (NormMinPolicy, PeriodicSignal, activation_fractions,
                       example_signal, load_signal, scale, signal_to_dict)
 from .stability import DEFAULT_K_LIST, is_ici_stable, lemma4_bound_holds
 from .simulate import (DivergenceError, NoAttractingCycleError,
                        DegenerateCycleError, limit_cycle, simulate,
                        simulate_norm_min)
-from .synthesis import (DEFAULT_REFINE_TOL, find_stable_combination,
-                        max_stable_eta)
+from .synthesis import (DEFAULT_REFINE_TOL, _fitting_resolution,
+                        find_stable_combination, max_stable_eta)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -130,9 +130,7 @@ def _load_inputs(config: RunConfig) -> tuple[SwitchedSystem, Optional[PeriodicSi
     sys_ = load_system(config.system_path)
     sig = None
     if config.signal_path is not None:
-        sig = load_signal(config.signal_path)
-        if config.eta != 1.0:
-            sig = scale(sig, config.eta)
+        sig = scale(load_signal(config.signal_path), config.eta)
     return sys_, sig
 
 
@@ -182,6 +180,9 @@ def _cmd_analyze(config: RunConfig, out: Path) -> int:
 
 def _cmd_synthesize(config: RunConfig, out: Path) -> int:
     sys_, _ = _load_inputs(config)
+    if config.resolution is None:
+        # no --resolution: the default, coarsened until the grid fits
+        config.resolution = _fitting_resolution(sys_.m, RunConfig.resolution)
     comb = find_stable_combination(
         [sub.A for sub in sys_.subsystems], resolution=config.resolution)
     _write_json(out / "combination.json", _report(config, comb.to_dict()))
@@ -219,18 +220,9 @@ def _cmd_cycle(config: RunConfig, out: Path) -> int:
         _write_json(out / "cycle.json",
                     _report(config, {"error": str(exc)}))
         return EXIT_UNSTABLE
-    body = cyc.to_dict()
-    try:
-        w = activation_fractions(sig, sys_.m)
-        body["average_equilibrium"] = equilibrium(
-            average_system(sys_, w)).tolist()
-    except EquilibriumError:
-        body["average_equilibrium"] = None
-    _write_json(out / "cycle.json", _report(config, body))
+    _write_json(out / "cycle.json", _report(config, cyc.to_dict()))
     with open(out / "orbit.csv", "w") as fh:
-        fh.write("t," + ",".join(f"x{i + 1}" for i in range(sys_.n)) + "\n")
-        for t, x in zip(cyc.orbit_times, cyc.orbit):
-            fh.write(f"{t:.12g}," + ",".join(f"{v:.12g}" for v in x) + "\n")
+        cyc.trajectory.write_csv(fh)
     return EXIT_OK
 
 
@@ -325,6 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     given = dict(vars(args))
+    if given["command"] == "synthesize":
+        given.setdefault("resolution", None)    # resolved from m on the run
     given["x0"] = [[float(v) for v in item.split(",")]
                    for item in given.get("x0", [])]
     given["k_list"] = _parse_k_list(given.get("k_list"))
@@ -348,9 +342,21 @@ def run(config: RunConfig) -> int:
     return _DISPATCH[config.command](config, out)
 
 
+def _join_x0(argv) -> list[str]:
+    """Rewrite each "--x0 VALUE" pair as "--x0=VALUE", so that a value
+    starting with "-" is not taken for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--x0" and not arg.startswith("--"):
+            out[-1] = f"--x0={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_x0(_sys.argv[1:] if argv is None else argv))
     try:
         config = config_from_args(args)
     except (ValueError, KeyError) as exc:

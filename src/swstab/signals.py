@@ -172,8 +172,7 @@ def signal_from_dict(spec: dict) -> PeriodicSignal:
         eta = float(spec.get("eta", 1.0))
     except TypeError as exc:
         raise ValueError(f"signal spec value has the wrong type: {exc}") from exc
-    sig = PeriodicSignal(segs)
-    return sig if eta == 1.0 else scale(sig, eta)
+    return scale(PeriodicSignal(segs), eta)
 
 
 def load_signal(path) -> PeriodicSignal:

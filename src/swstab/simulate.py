@@ -15,10 +15,12 @@ import numpy as np
 from . import linalg
 from .model import (EquilibriumError, SubSystem, SwitchedSystem,
                     average_system, equilibrium)
-from .signals import (NormMinPolicy, PeriodicSignal, activation_fractions,
-                      active_index)
+from .signals import NormMinPolicy, PeriodicSignal, activation_fractions
 
 DIVERGENCE_GUARD = 1e12
+# Most steps one call may take: samples plus segment crossings for
+# simulate, closed-loop steps for simulate_norm_min.
+MAX_STEPS = 1_000_000
 
 
 class DivergenceError(Exception):
@@ -45,7 +47,6 @@ class Trajectory:
     times: np.ndarray            # (N,)
     states: np.ndarray           # (N, n)
     active: np.ndarray           # (N,) 1-based subsystem ids
-    provenance: str              # "periodic" | "norm_min"
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -77,14 +78,20 @@ class Cycle:
 
     fixed_point: np.ndarray
     period: float
-    orbit_times: np.ndarray
-    orbit: np.ndarray                     # (K, n) states over one period
+    trajectory: Trajectory                        # one period from the fixed point
+    average_equilibrium: Optional[np.ndarray]     # None if the average is singular
     practical_radius: Optional[float]     # max orbit distance to the average equilibrium
 
+    @property
+    def orbit(self) -> np.ndarray:            # (K, n) states over one period
+        return self.trajectory.states
+
     def to_dict(self) -> dict:
+        e_avg = self.average_equilibrium
         return {
             "fixed_point": self.fixed_point.tolist(),
             "period": self.period,
+            "average_equilibrium": None if e_avg is None else e_avg.tolist(),
             "practical_radius": self.practical_radius,
         }
 
@@ -123,11 +130,17 @@ def poincare_map(sys: SwitchedSystem, sig: PeriodicSignal) -> AffineMap:
     return AffineMap(M, v)
 
 
-def _guard(x: np.ndarray, t: float, times, states, actives, provenance):
+def _check_work(steps: float) -> None:
+    if not steps <= MAX_STEPS:
+        raise ValueError(f"t_end needs about {steps:.3g} steps, more than "
+                         f"MAX_STEPS = {MAX_STEPS}")
+
+
+def _guard(x: np.ndarray, t: float, times, states, actives):
     # written so that a NaN norm also trips the guard
     if not np.linalg.norm(x) <= DIVERGENCE_GUARD:
         partial = Trajectory(np.array(times), np.array(states),
-                             np.array(actives, dtype=int), provenance)
+                             np.array(actives, dtype=int))
         raise DivergenceError(t, partial)
 
 
@@ -136,11 +149,15 @@ def simulate(sys: SwitchedSystem, sig: PeriodicSignal, x0: np.ndarray,
     """Exact trajectory under a periodic signal, sampled every sample_dt.
 
     States are propagated exactly across each segment boundary; samples
-    inside a segment use a partial-duration exact step.
+    inside a segment use a partial-duration exact step.  Each sample is
+    labelled with the segment the walk is propagating, so a sample at a
+    switching instant reads the segment that begins there.  More than
+    MAX_STEPS samples plus segment crossings raises ValueError up front.
     """
     if not (t_end > 0.0 and sample_dt > 0.0):
         raise ValueError("t_end and sample_dt must be positive")
     check_indices(sys, sig)
+    _check_work(t_end / sample_dt + t_end / sig.period * len(sig.segments))
 
     n_samples = int(np.floor(t_end / sample_dt + 1e-9))
     sample_times = [k * sample_dt for k in range(1, n_samples + 1)]
@@ -153,38 +170,37 @@ def simulate(sys: SwitchedSystem, sig: PeriodicSignal, x0: np.ndarray,
     durations = [dur for _, dur in sig.segments]
     partial_cache: dict[tuple[int, float], AffineMap] = {}
 
+    seg_pos = 0              # position within the segment list
+    t_seg = 0.0              # start time of the current segment
     x = linalg.as_vector(x0).copy()
     times = [0.0]
     states = [x.copy()]
-    actives = [active_index(sig, 0.0)]
-
-    seg_pos = 0              # position within the segment list
-    t_seg = 0.0              # start time of the current segment
+    actives = [sig.segments[seg_pos].index]
     for t_s in sample_times:
         # cross whole segments that end at or before the sample time
         while t_seg + durations[seg_pos] <= t_s + 1e-12 * max(t_s, 1.0):
             x = full_maps[seg_pos](x)
             t_seg += durations[seg_pos]
             seg_pos = (seg_pos + 1) % len(durations)
-            _guard(x, t_seg, times, states, actives, "periodic")
+            _guard(x, t_seg, times, states, actives)
+        idx = sig.segments[seg_pos].index
         tau = t_s - t_seg
         if tau > 0.0:
             key = (seg_pos, round(tau, 12))
             step = partial_cache.get(key)
             if step is None:
-                idx = sig.segments[seg_pos].index
                 step = segment_map(sys.subsystems[idx - 1], tau)
                 partial_cache[key] = step
             x_s = step(x)
         else:
             x_s = x.copy()
-        _guard(x_s, t_s, times, states, actives, "periodic")
+        _guard(x_s, t_s, times, states, actives)
         times.append(t_s)
         states.append(x_s)
-        actives.append(active_index(sig, t_s))
+        actives.append(idx)
 
     return Trajectory(np.array(times), np.array(states),
-                      np.array(actives, dtype=int), "periodic")
+                      np.array(actives, dtype=int))
 
 
 def simulate_norm_min(sys: SwitchedSystem, x0: np.ndarray, t_end: float,
@@ -193,11 +209,13 @@ def simulate_norm_min(sys: SwitchedSystem, x0: np.ndarray, t_end: float,
 
     Each step holds the selected subsystem for the policy step and advances
     exactly; the recorded active index is the selection made at the sample's
-    state, argmin_i x^T (A_i x + b_i) with ties to the lowest index.
+    state, argmin_i x^T (A_i x + b_i) with ties to the lowest index.  More
+    than MAX_STEPS steps raises ValueError up front.
     """
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     h = policy.step
+    _check_work(t_end / h)
     n_steps = max(1, int(round(t_end / h)))
     step_maps = [segment_map(sub, h) for sub in sys.subsystems]
     # stacked derivative pieces for fast selection
@@ -215,10 +233,10 @@ def simulate_norm_min(sys: SwitchedSystem, x0: np.ndarray, t_end: float,
         actives.append(i + 1)
         if k < n_steps:
             x = step_maps[i](x)
-            _guard(x, t + h, times, states, actives, "norm_min")
+            _guard(x, t + h, times, states, actives)
 
     return Trajectory(np.array(times), np.array(states),
-                      np.array(actives, dtype=int), "norm_min")
+                      np.array(actives, dtype=int))
 
 
 def limit_cycle(sys: SwitchedSystem, sig: PeriodicSignal,
@@ -242,6 +260,7 @@ def limit_cycle(sys: SwitchedSystem, sig: PeriodicSignal,
     T = sig.period
     traj = simulate(sys, sig, x_star, T, T / orbit_samples)
 
+    e_avg: Optional[np.ndarray] = None
     practical_radius: Optional[float] = None
     try:
         e_avg = equilibrium(average_system(sys, activation_fractions(sig, sys.m)))
@@ -250,6 +269,5 @@ def limit_cycle(sys: SwitchedSystem, sig: PeriodicSignal,
     except EquilibriumError:
         pass
 
-    return Cycle(fixed_point=x_star, period=T,
-                 orbit_times=traj.times, orbit=traj.states,
-                 practical_radius=practical_radius)
+    return Cycle(fixed_point=x_star, period=T, trajectory=traj,
+                 average_equilibrium=e_avg, practical_radius=practical_radius)

@@ -59,13 +59,28 @@ MAX_GRID_ENTRIES = 12_500_000
 DEFAULT_REFINE_TOL = 1e-3
 
 
+def _grid_entries(m: int, steps: int) -> int:
+    """Weights (points x m) in the simplex grid of the given divisions."""
+    return math.comb(steps + m - 1, m - 1) * m
+
+
+def _fitting_resolution(m: int, resolution: float) -> float:
+    """resolution, or else the finest coarser 1/steps whose grid fits."""
+    steps = round(1.0 / resolution)
+    if _grid_entries(m, steps) <= MAX_GRID_ENTRIES:
+        return resolution
+    while steps > 1 and _grid_entries(m, steps) > MAX_GRID_ENTRIES:
+        steps -= 1
+    return 1.0 / steps
+
+
 def _grid_steps(m: int, resolution: float) -> int:
     """Grid divisions per unit weight; refuses a grid too large to scan."""
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError(f"resolution must be finite and > 0, got {resolution}")
     # clipping keeps round() finite; for m >= 2 a clipped grid is refused
     steps = max(1, round(min(1.0 / resolution, MAX_GRID_ENTRIES)))
-    if math.comb(steps + m - 1, m - 1) * m > MAX_GRID_ENTRIES:
+    if _grid_entries(m, steps) > MAX_GRID_ENTRIES:
         raise ValueError(f"resolution {resolution} needs a simplex grid of "
                          f"more than {MAX_GRID_ENTRIES} weights for {m} "
                          "matrices")

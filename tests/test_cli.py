@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from swstab import cli
+from swstab import cli, synthesis
 from swstab.model import DEFAULT_EQUILIBRIUM_TOL, load_system, system_to_dict
 from swstab.synthesis import DEFAULT_REFINE_TOL, max_stable_eta
 from swstab.signals import load_signal, example_signal
@@ -200,6 +200,35 @@ class TestSynthesize:
         assert inspect.signature(max_stable_eta).parameters[
             "refine_tol"].default == DEFAULT_REFINE_TOL
 
+    def test_default_resolution_fits_the_grid(self, tmp_path, monkeypatch):
+        # room for 10 divisions of 5 weights, not 11: the default 0.01 is
+        # coarsened to 0.1, and an explicit 0.01 is still refused
+        monkeypatch.setattr(synthesis, "MAX_GRID_ENTRIES", 5 * math.comb(14, 4))
+        sys_path, _ = write_specs(
+            tmp_path, [[[-1, k], [0, -1]] for k in range(5)], [1.0])
+        code = run_cli(["synthesize", "--system", sys_path,
+                        "--grid-points", "5", "--out", tmp_path])
+        assert code == cli.EXIT_OK
+        comb = json.loads((tmp_path / "combination.json").read_text())
+        assert comb["config"]["resolution"] == 0.1
+        assert comb["evaluations"] > math.comb(14, 4)
+        search = json.loads((tmp_path / "eta_search.json").read_text())
+        assert search["config"]["resolution"] == 0.1
+        code = run_cli(["synthesize", "--system", sys_path,
+                        "--resolution", "0.01", "--out", tmp_path / "fine"])
+        assert code == cli.EXIT_INVALID
+
+    def test_default_resolution_for_few_subsystems(self, tmp_path,
+                                                  example1_files):
+        sys_path, sig_path = example1_files
+        run_cli(["synthesize", "--system", sys_path, "--grid-points", "5",
+                 "--out", tmp_path])
+        run_cli(["analyze", "--system", sys_path, "--signal", sig_path,
+                 "--out", tmp_path])
+        for name in ("combination.json", "analysis.json"):
+            report = json.loads((tmp_path / name).read_text())
+            assert report["config"]["resolution"] == cli.RunConfig.resolution
+
     def test_infeasible_returns_unstable(self, tmp_path):
         sys_path = tmp_path / "s.json"
         sys_path.write_text(json.dumps({"subsystems": [
@@ -239,6 +268,17 @@ class TestSimulate:
         summary = json.loads((tmp_path / "simulate.json").read_text())
         assert summary["diverged"]
 
+    @pytest.mark.parametrize("command", ["simulate", "normmin"])
+    def test_unbounded_work_is_invalid(self, tmp_path, capsys, example1_files,
+                                       command):
+        sys_path, sig_path = example1_files
+        signal = ["--signal", sig_path] if command == "simulate" else []
+        code = run_cli([command, "--system", sys_path, *signal, "--x0", "1,0",
+                        "--t-end", "1e12", "--dt", "1e-9", "--out", tmp_path])
+        assert code == cli.EXIT_INVALID
+        assert "MAX_STEPS" in capsys.readouterr().err
+        assert not list(tmp_path.glob("trajectory_*.csv"))
+
 
 class TestCycleCommand:
     def test_limit_cycle_outputs(self, tmp_path):
@@ -250,7 +290,24 @@ class TestCycleCommand:
         np.testing.assert_allclose(cyc["average_equilibrium"], [0.0, 3.0],
                                    atol=1e-9)
         assert cyc["practical_radius"] > 0.0
-        assert (out / "orbit.csv").exists()
+        rows = (out / "orbit.csv").read_text().splitlines()
+        assert rows[0] == "t,x1,x2,active" and len(rows) == 202
+        assert rows[1].endswith(",1") and rows[-1].endswith(",1")
+
+    def test_singular_average_reports_null(self, tmp_path):
+        sys_path = tmp_path / "s.json"
+        sys_path.write_text(json.dumps({"subsystems": [
+            {"A": [[-2, -2], [1, -2]], "b": [1, 0]},
+            {"A": [[2, 2], [0, 2]], "b": [0, 1]}]}))
+        sig_path = tmp_path / "g.json"
+        sig_path.write_text(json.dumps({"segments": [
+            {"index": 1, "duration": 1.0}, {"index": 2, "duration": 1.0}]}))
+        code = run_cli(["cycle", "--system", sys_path, "--signal", sig_path,
+                        "--out", tmp_path])
+        assert code == cli.EXIT_OK
+        cyc = json.loads((tmp_path / "cycle.json").read_text())
+        assert cyc["average_equilibrium"] is None
+        assert cyc["practical_radius"] is None
 
 
 class TestNormMin:
@@ -266,6 +323,22 @@ class TestNormMin:
         rows = (out / "trajectory_00.csv").read_text().strip().split("\n")
         last = [float(v) for v in rows[-1].split(",")]
         assert np.hypot(last[1], last[2]) < 0.05
+
+    def test_negative_x0_after_a_space(self, tmp_path, monkeypatch):
+        sys_path = tmp_path / "lin.json"
+        sys_path.write_text(json.dumps({"subsystems": [
+            {"A": presets.A1.tolist()}, {"A": presets.A2.tolist()}]}))
+        outputs = []
+        for k, x0 in enumerate((["--x0", "-0.3,0.7"], ["--x0=-0.3,0.7"])):
+            (tmp_path / str(k)).mkdir()
+            monkeypatch.chdir(tmp_path / str(k))
+            code = run_cli(["normmin", "--system", sys_path, *x0,
+                            "--t-end", "1", "--dt", "0.01", "--out", "out"])
+            assert code == cli.EXIT_OK
+            outputs.append({p.name: p.read_bytes()
+                            for p in (tmp_path / str(k) / "out").iterdir()})
+        assert sorted(outputs[0]) == ["normmin.json", "trajectory_00.csv"]
+        assert outputs[0] == outputs[1]
 
 
 class TestExample:
@@ -319,6 +392,16 @@ class TestFlags:
             cli._parse_tols(["oops"])
         with pytest.raises(ValueError, match="common_equilibrium, refine_tol"):
             cli._parse_tols(["refine_tl=1e-6"])
+
+    @pytest.mark.parametrize("argv, want", [
+        (["--x0", "-1,2"], ["--x0=-1,2"]),
+        (["--x0", "1", "--x0", "-2"], ["--x0=1", "--x0=-2"]),
+        (["--x0=-1", "--circle", "3"], ["--x0=-1", "--circle", "3"]),
+        (["--x0", "--circle", "3"], ["--x0", "--circle", "3"]),
+        (["--x0"], ["--x0"]),
+    ])
+    def test_x0_value_joined(self, argv, want):
+        assert cli._join_x0(argv) == want
 
     def test_k_list_parsing(self):
         assert cli._parse_k_list("1,2,4") == [1, 2, 4]

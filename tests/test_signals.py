@@ -63,6 +63,13 @@ class TestScale:
         assert scale(sig, 1.0) == sig
 
     @settings(max_examples=40, deadline=None)
+    @given(signals())
+    def test_by_one_is_exact(self, sig):
+        # the CLI and signal_from_dict scale by eta = 1 unconditionally
+        assert scale(sig, 1.0).segments == sig.segments
+        assert signal_from_dict(signal_to_dict(sig)) == sig
+
+    @settings(max_examples=40, deadline=None)
     @given(signals(), st.floats(0.1, 4.0), st.floats(0.1, 4.0))
     def test_composition(self, sig, a, b):
         lhs = scale(scale(sig, a), b)

@@ -1,3 +1,4 @@
+import importlib
 import io
 
 import numpy as np
@@ -11,6 +12,24 @@ from swstab.simulate import (DivergenceError, NoAttractingCycleError,
                              simulate, simulate_norm_min)
 from swstab.stability import monodromy
 from conftest import random_switched_system
+
+# the package exports the function simulate under the module's name
+simulate_module = importlib.import_module("swstab.simulate")
+
+
+def walk_labels(sig, t_end, dt):
+    """Segment that simulate's walk propagates at each sample, replayed."""
+    n = int(np.floor(t_end / dt + 1e-9))
+    times = [k * dt for k in range(1, n + 1)]
+    if not times or times[-1] < t_end - 1e-9 * t_end:
+        times.append(t_end)
+    pos, t_seg, labels = 0, 0.0, [sig.segments[0].index]
+    for t in times:
+        while t_seg + sig.segments[pos].duration <= t + 1e-12 * max(t, 1.0):
+            t_seg += sig.segments[pos].duration
+            pos = (pos + 1) % len(sig.segments)
+        labels.append(sig.segments[pos].index)
+    return np.array(labels)
 
 
 class TestSegmentStep:
@@ -64,6 +83,20 @@ class TestSimulate:
         # square wave: subsystem 1 on [0,2), 2 on [2,4), repeating
         for t, a in zip(traj.times, traj.active):
             assert a == (1 if (t % 4.0) < 2.0 else 2)
+
+    @pytest.mark.parametrize("eta, t_end", [(1e-3, 20.0), (1.1, 60.0)])
+    def test_labels_are_the_walks_segments(self, example1, eta, t_end):
+        sig = example_signal(eta)
+        traj = simulate(example1, sig, np.array([1.0, 0.0]), t_end, 0.05)
+        np.testing.assert_array_equal(traj.active,
+                                      walk_labels(sig, t_end, 0.05))
+
+    def test_switching_instant_reads_new_segment(self, example1):
+        # segments of 2.2: subsystem 2 begins at t = 2 * 4.4 + 2.2 = 11.0
+        traj = simulate(example1, example_signal(1.1), np.array([1.0, 0.0]),
+                        60.0, 0.05)
+        assert traj.times[220] == pytest.approx(11.0)
+        assert traj.active[220] == 2
 
     def test_matches_poincare_map_over_one_period(self, rng):
         for _ in range(10):
@@ -154,6 +187,64 @@ class TestLimitCycle:
     def test_no_contraction_rejected(self, example2):
         with pytest.raises(NoAttractingCycleError):
             limit_cycle(example2, example_signal(2.0))
+
+    def test_orbit_is_a_labelled_trajectory(self, example2):
+        sig = example_signal(0.5)
+        cyc = limit_cycle(example2, sig)
+        traj = cyc.trajectory
+        assert len(traj.times) == 201 and traj.times[-1] == sig.period
+        np.testing.assert_array_equal(cyc.orbit, traj.states)
+        np.testing.assert_array_equal(
+            traj.active, walk_labels(sig, sig.period, sig.period / 200))
+        np.testing.assert_allclose(cyc.average_equilibrium, [0.0, 3.0],
+                                   atol=1e-9)
+        assert cyc.to_dict()["average_equilibrium"] == \
+            cyc.average_equilibrium.tolist()
+
+    def test_singular_average_has_no_equilibrium(self):
+        # A1 + A2 = [[0, 0], [1, 0]] is singular, the period map contracts
+        sys_ = SwitchedSystem((
+            SubSystem(np.array([[-2.0, -2.0], [1.0, -2.0]]), np.array([1.0, 0.0])),
+            SubSystem(np.array([[2.0, 2.0], [0.0, 2.0]]), np.array([0.0, 1.0]))))
+        cyc = limit_cycle(sys_, PeriodicSignal((Segment(1, 1.0), Segment(2, 1.0))))
+        assert cyc.average_equilibrium is None and cyc.practical_radius is None
+        assert cyc.to_dict()["average_equilibrium"] is None
+
+
+class TestWorkBound:
+    @pytest.fixture
+    def no_propagation(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("segment map built for refused work")
+        monkeypatch.setattr(simulate_module, "segment_map", fail)
+
+    @pytest.mark.parametrize("eta, t_end, dt", [
+        (1.0, 1e12, 1e-9),          # samples
+        (1e-6, 4.0, 1.0),           # 2e6 segment crossings, 4 samples
+        (1.0, np.inf, 1.0),
+    ])
+    @pytest.mark.usefixtures("no_propagation")
+    def test_simulate_refused_before_work(self, example1, eta, t_end, dt):
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            simulate(example1, example_signal(eta), np.zeros(2), t_end, dt)
+
+    @pytest.mark.parametrize("t_end, dt", [(1e12, 1e-9), (np.inf, 1.0)])
+    @pytest.mark.usefixtures("no_propagation")
+    def test_norm_min_refused_before_work(self, example1, t_end, dt):
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            simulate_norm_min(example1, np.zeros(2), t_end, NormMinPolicy(dt))
+
+    def test_bound_is_inclusive(self, example1, monkeypatch):
+        monkeypatch.setattr(simulate_module, "MAX_STEPS", 100)
+        policy = NormMinPolicy(0.01)
+        assert len(simulate_norm_min(example1, np.zeros(2), 1.0, policy).times) == 101
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            simulate_norm_min(example1, np.zeros(2), 1.02, policy)
+        # 20 samples plus 80 crossings of 0.125-long segments
+        sig = PeriodicSignal((Segment(1, 0.125),))
+        assert len(simulate(example1, sig, np.zeros(2), 10.0, 0.5).times) == 21
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            simulate(example1, sig, np.zeros(2), 10.0, 0.25)
 
 
 class TestNormMin:

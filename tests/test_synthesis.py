@@ -142,6 +142,18 @@ class TestResolution:
         # a single matrix needs no grid, whatever the resolution
         assert find_stable_combination([-np.eye(2)], 1e-300).found
 
+    @pytest.mark.parametrize("m, steps", [
+        (1, 100), (2, 100), (4, 100), (5, 85), (6, 44), (7, 29), (8, 22)])
+    def test_fitting_resolution(self, m, steps):
+        # the CLI default: 0.01 unless the grid is too large, then the
+        # finest 1/steps that fits
+        resolution = synthesis._fitting_resolution(m, 0.01)
+        assert resolution == 1.0 / steps
+        assert synthesis._grid_steps(m, resolution) == steps
+        if steps < 100:
+            with pytest.raises(ValueError):
+                synthesis._grid_steps(m, 1.0 / (steps + 1))
+
 
 class TestMaxStableEta:
     HALF4 = Weights(np.array([0.5, 0.5]), 4.0)
