@@ -11,9 +11,8 @@ from .model import (SubSystem, SwitchedSystem, Weights, average_system,
 from .signals import (NormMinPolicy, PeriodicSignal, Segment,
                       activation_fractions, active_index, example_signal,
                       from_weights, permute, scale, shift)
-from .stability import (StabilityReport, average_error_bound, bch_c2,
-                        det_monodromy_oracle, is_ici_stable,
-                        lemma4_bound_holds, monodromy)
+from .stability import (StabilityReport, bch_c2, det_monodromy_oracle,
+                        is_ici_stable, lemma4_bound_holds, monodromy)
 from .synthesis import (CombinationResult, EtaSearchResult,
                         find_stable_combination, max_stable_eta)
 from .simulate import (AffineMap, Cycle, Trajectory, limit_cycle,
@@ -27,9 +26,8 @@ __all__ = [
     "NormMinPolicy", "PeriodicSignal", "Segment", "activation_fractions",
     "active_index", "example_signal", "from_weights", "permute", "scale",
     "shift",
-    "StabilityReport", "average_error_bound", "bch_c2",
-    "det_monodromy_oracle", "is_ici_stable", "lemma4_bound_holds",
-    "monodromy",
+    "StabilityReport", "bch_c2", "det_monodromy_oracle", "is_ici_stable",
+    "lemma4_bound_holds", "monodromy",
     "CombinationResult", "EtaSearchResult", "find_stable_combination",
     "max_stable_eta",
     "AffineMap", "Cycle", "Trajectory", "limit_cycle", "poincare_map",

@@ -1,14 +1,16 @@
 """Command-line front-end: parse system/signal specs, run analyses, write
 JSON reports and CSV trajectories.
 
-Exit codes: 0 success; 1 parse/validation error; 2 numerical failure;
-3 instability or divergence detected (reports are still written).
+Exit codes: 0 success; 1 parse/validation error, usage errors included;
+2 numerical failure; 3 instability or divergence detected (reports are
+still written).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import math
 import sys as _sys
@@ -31,6 +33,9 @@ from .simulate import (DivergenceError, NoAttractingCycleError,
                        simulate_norm_min)
 from .synthesis import (DEFAULT_REFINE_TOL, _fitting_resolution,
                         find_stable_combination, max_stable_eta)
+
+# the simulate module: the package namespace binds "simulate" to the function
+_simulation = importlib.import_module(".simulate", __package__)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -110,6 +115,10 @@ def _initial_conditions(config: RunConfig, n: int) -> list[np.ndarray]:
     if config.circle:
         if n < 2:
             raise ValueError("--circle needs state dimension >= 2")
+        # each initial condition costs at least one step
+        if config.circle > _simulation.MAX_STEPS:
+            raise ValueError(f"--circle {config.circle} exceeds MAX_STEPS = "
+                             f"{_simulation.MAX_STEPS} initial conditions")
         for j in range(config.circle):
             theta = 2.0 * math.pi * j / config.circle
             p = np.zeros(n)
@@ -193,10 +202,8 @@ def _cmd_synthesize(config: RunConfig, out: Path) -> int:
         grid_points=config.grid_points,
         refine_tol=config.tolerances.get("refine_tol", DEFAULT_REFINE_TOL))
     _write_json(out / "eta_search.json", _report(config, search.to_dict()))
-    with open(out / "eta_grid.csv", "w") as fh:
-        fh.write("eta,spectral_radius\n")
-        for eta, rho in search.grid:
-            fh.write(f"{eta:.12g},{rho:.12g}\n")
+    np.savetxt(out / "eta_grid.csv", search.grid, fmt="%.12g", delimiter=",",
+               header="eta,spectral_radius", comments="")
     return EXIT_OK
 
 
@@ -356,7 +363,13 @@ def _join_x0(argv) -> list[str]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_x0(_sys.argv[1:] if argv is None else argv))
+    try:
+        args = parser.parse_args(
+            _join_x0(_sys.argv[1:] if argv is None else argv))
+    except SystemExit as exc:       # argparse exits 2 on a usage error
+        if exc.code == 0:           # --help, --version
+            raise
+        return EXIT_INVALID
     try:
         config = config_from_args(args)
     except (ValueError, KeyError) as exc:

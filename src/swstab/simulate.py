@@ -56,9 +56,9 @@ class Trajectory:
     def write_csv(self, fh) -> None:
         """Rows "t,x1,...,xn,active" ordered by time."""
         n = self.states.shape[1]
-        fh.write("t," + ",".join(f"x{i + 1}" for i in range(n)) + ",active\n")
-        for t, x, a in zip(self.times, self.states, self.active):
-            fh.write(f"{t:.12g}," + ",".join(f"{v:.12g}" for v in x) + f",{int(a)}\n")
+        header = ",".join(["t"] + [f"x{i + 1}" for i in range(n)] + ["active"])
+        np.savetxt(fh, np.column_stack([self.times, self.states, self.active]),
+                   fmt="%.12g", delimiter=",", header=header, comments="")
 
 
 @dataclass(frozen=True)

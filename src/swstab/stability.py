@@ -3,7 +3,7 @@
 Contains the one-period state-transition (monodromy) matrix, the spectral
 radius stability test, the closed-form determinant oracle, the truncated
 commutator correction of the log-monodromy, the conservative dwell-scale
-bound, and the average-system approximation error bound.
+bound, and the measured deviation of the monodromy from the average system.
 """
 
 from __future__ import annotations
@@ -138,19 +138,6 @@ def lemma4_bound_holds(sys: SwitchedSystem, w: Weights, eta: float,
         if not lhs < rhs:
             return False
     return True
-
-
-def average_error_bound(A: np.ndarray, C: np.ndarray,
-                        eta: float, T: float) -> float:
-    """Bound on ||e^{AT + eta C T} - e^{AT}|| in the induced 2-norm:
-
-        ||eta C T|| * e^{||A T||} * e^{||eta C T||}
-    """
-    if not (eta > 0.0 and T > 0.0):
-        raise ValueError("eta and T must be positive")
-    nct = eta * T * linalg.operator_norm_2(linalg.as_matrix(C))
-    nat = T * linalg.operator_norm_2(linalg.as_matrix(A))
-    return nct * math.exp(nat) * math.exp(nct)
 
 
 def average_deviation(sys: SwitchedSystem, w: Weights, eta: float,

@@ -106,20 +106,12 @@ def _simplex_grid(m: int, steps: int) -> np.ndarray:
     return (bounds[:, :-1] - bounds[:, 1:]) / steps
 
 
-def _scan(grid: np.ndarray, flat: np.ndarray,
-          n: int) -> tuple[np.ndarray, float]:
-    """First grid point of least spectral abscissa, with that abscissa."""
-    best_k, best_val = 0, np.inf
-    for start in range(0, len(grid), _SCAN_BLOCK):
-        block = grid[start:start + _SCAN_BLOCK]
-        # a vector-matrix product per row rounds as (alpha @ flat) does;
-        # one matrix-matrix product over the block would not
-        mats = (block[:, None, :] @ flat).reshape(-1, n, n)
-        vals = linalg.spectrum(mats).real.max(axis=-1)
-        k = int(np.argmin(vals))
-        if vals[k] < best_val:
-            best_k, best_val = start + k, float(vals[k])
-    return grid[best_k], best_val
+def _abscissae(alphas: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
+    """Spectral abscissa of sum_i alpha_i A_i for every row of a (k, m) block."""
+    # a vector-matrix product per row rounds the same in a one-row call as
+    # in any block; one matrix-matrix product over the block would not
+    mats = (alphas[:, None, :] @ flat).reshape(-1, n, n)
+    return linalg.spectrum(mats).real.max(axis=-1)
 
 
 def find_stable_combination(matrices: Sequence[np.ndarray],
@@ -128,9 +120,10 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
 
     Coarse grid scan at the given resolution, in stacked eigenvalue calls,
     then a derivative-free (Nelder-Mead) refinement from the best grid point;
-    the abscissa is nonsmooth, so no gradients are used.  The weights carry
-    period 1.  A resolution that is not finite and positive, or whose grid
-    would exceed MAX_GRID_ENTRIES weights, raises ValueError before any work.
+    the abscissa is nonsmooth, so no gradients are used.  A single matrix is
+    a one-point grid with no refinement.  The weights carry period 1.  A
+    resolution that is not finite and positive, or whose grid would exceed
+    MAX_GRID_ENTRIES weights, raises ValueError before any work.
     """
     m = len(matrices)
     if m == 0:
@@ -143,27 +136,22 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
             raise linalg.DimensionError("matrices must share a common dimension")
     flat = np.stack(mats).reshape(m, n * n)
 
-    evaluations = 0
+    grid = _simplex_grid(m, steps)
+    vals = np.concatenate([_abscissae(grid[k:k + _SCAN_BLOCK], flat, n)
+                           for k in range(0, len(grid), _SCAN_BLOCK)])
+    best = int(np.argmin(vals))
+    best_alpha, best_val = grid[best], float(vals[best])
+    evaluations = len(grid)
 
-    def abscissa(alpha: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return linalg.spectral_abscissa((alpha @ flat).reshape(n, n))
-
-    if m == 1:
-        best_alpha = np.array([1.0])
-        best_val = abscissa(best_alpha)
-    else:
-        grid = _simplex_grid(m, steps)
-        best_alpha, best_val = _scan(grid, flat, n)
-        evaluations += len(grid)
-
+    if m > 1:
         def objective(z: np.ndarray) -> float:
+            nonlocal evaluations
             az = np.abs(z)
             s = az.sum()
             if s <= 0.0:
                 return np.inf
-            return abscissa(az / s)
+            evaluations += 1
+            return float(_abscissae((az / s)[None], flat, n)[0])
 
         res = scipy.optimize.minimize(
             objective, best_alpha + 1e-3, method="Nelder-Mead",

@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import json
 import math
@@ -10,6 +11,8 @@ from swstab.model import DEFAULT_EQUILIBRIUM_TOL, load_system, system_to_dict
 from swstab.synthesis import DEFAULT_REFINE_TOL, max_stable_eta
 from swstab.signals import load_signal, example_signal
 from swstab import presets
+
+simulate_module = importlib.import_module("swstab.simulate")
 
 
 def run_cli(args):
@@ -279,6 +282,22 @@ class TestSimulate:
         assert "MAX_STEPS" in capsys.readouterr().err
         assert not list(tmp_path.glob("trajectory_*.csv"))
 
+    @pytest.mark.parametrize("command", ["simulate", "normmin"])
+    def test_circle_above_max_steps_is_invalid(self, tmp_path, capsys,
+                                               monkeypatch, example1_files,
+                                               command):
+        # patched small, so the refusal is checked with an 11-point circle
+        monkeypatch.setattr(simulate_module, "MAX_STEPS", 10)
+        sys_path, sig_path = example1_files
+        out = tmp_path / "out"
+        signal = ["--signal", sig_path] if command == "simulate" else []
+        code = run_cli([command, "--system", sys_path, *signal,
+                        "--circle", "11", "--t-end", "1", "--dt", "0.5",
+                        "--out", out])
+        assert code == cli.EXIT_INVALID
+        assert "MAX_STEPS" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
 
 class TestCycleCommand:
     def test_limit_cycle_outputs(self, tmp_path):
@@ -385,6 +404,23 @@ class TestExample:
 
 
 class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--bogus"],
+        ["synthesize", "--resolution", "abc"],
+        ["normmin", "--x0"],
+        ["bogus"],
+    ], ids=["unknown-option", "bad-float", "missing-value", "unknown-command"])
+    def test_usage_error_is_invalid(self, capsys, argv):
+        assert run_cli(argv) == cli.EXIT_INVALID
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                      ["analyze", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 0
+
     def test_tol_parsing(self):
         assert cli._parse_tols(["common_equilibrium=1e-6"]) == {
             "common_equilibrium": 1e-6}

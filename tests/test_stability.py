@@ -11,8 +11,8 @@ from swstab.linalg import mat_exp, operator_norm_2, spectrum
 from swstab.model import SubSystem, SwitchedSystem, Weights, average_system
 from swstab.signals import (PeriodicSignal, Segment, example_signal, permute,
                             shift)
-from swstab.stability import (average_deviation, average_error_bound,
-                              bch_c2, det_monodromy_oracle, is_ici_stable,
+from swstab.stability import (average_deviation, bch_c2,
+                              det_monodromy_oracle, is_ici_stable,
                               lemma4_bound_holds, monodromy)
 from conftest import random_switched_system
 
@@ -173,31 +173,15 @@ class TestLemma4:
 
 
 class TestAverageErrorBound:
-    def test_zero_commutator(self, example1):
-        w = Weights(np.array([0.5, 0.5]), 1.0)
-        A = average_system(example1, w).A
-        assert average_error_bound(A, np.zeros((2, 2)), 0.1, 1.0) == 0.0
-
-    def test_monotone_in_eta(self, example1):
-        w = Weights(np.array([0.5, 0.5]), 1.0)
-        A = average_system(example1, w).A
-        C = bch_c2(example1, w)
-        vals = [average_error_bound(A, C, eta, 1.0)
-                for eta in (0.4, 0.2, 0.1, 0.05)]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
-        assert vals[-1] < 0.5 * vals[0]
+    """The error of the average approximation, ||Phi - e^{A_avg T}||."""
 
     def test_tracks_measured_deviation(self, example1):
-        # with the truncated C the bound is a trend, not a strict certificate:
-        # both the bound and the measured deviation must shrink with eta
+        # the subsystems do not commute, so the deviation is positive and
+        # shrinks with eta
         w = Weights(np.array([0.5, 0.5]), 1.0)
-        A = average_system(example1, w).A
-        C = bch_c2(example1, w)
-        bounds, measured = [], []
-        for eta in (0.1, 0.05, 0.025):
-            bounds.append(average_error_bound(A, C, eta, 1.0))
-            measured.append(average_deviation(example1, w, eta, 1.0))
-        assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
+        measured = [average_deviation(example1, w, eta, 1.0)
+                    for eta in (0.1, 0.05, 0.025)]
+        assert measured[-1] > 0.0
         assert all(m2 < m1 for m1, m2 in zip(measured, measured[1:]))
 
 

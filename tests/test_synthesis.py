@@ -53,6 +53,14 @@ class TestFindStableCombination:
                                                            abs=1e-10)
             assert spectral_abscissa(mix) < 0.0
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_single_matrix_is_one_point(self, n):
+        A = np.random.default_rng(n).normal(size=(n, n))
+        result = find_stable_combination([A])
+        assert result.abscissa == spectral_abscissa(A)
+        assert result.evaluations == 1
+        assert np.array_equal(result.weights.alpha, [1.0])
+
     def test_dimension_mismatch(self):
         from swstab.linalg import DimensionError
         with pytest.raises(DimensionError):
@@ -139,7 +147,7 @@ class TestResolution:
         assert synthesis._grid_steps(4, 0.01) == 100
         with pytest.raises(ValueError):
             synthesis._grid_steps(5, 0.01)
-        # a single matrix needs no grid, whatever the resolution
+        # a single matrix is a one-point grid, whatever the resolution
         assert find_stable_combination([-np.eye(2)], 1e-300).found
 
     @pytest.mark.parametrize("m, steps", [
