@@ -112,7 +112,9 @@ def _initial_conditions(config: RunConfig, n: int) -> list[np.ndarray]:
     for p in points:
         if p.shape != (n,):
             raise ValueError(f"initial condition {p.tolist()} has wrong dimension")
-    if config.circle:
+    if config.circle is not None:
+        if config.circle < 1:
+            raise ValueError(f"--circle must be at least 1, got {config.circle}")
         if n < 2:
             raise ValueError("--circle needs state dimension >= 2")
         # each initial condition costs at least one step
@@ -244,10 +246,11 @@ def _cmd_normmin(config: RunConfig, out: Path) -> int:
 
 def _cmd_example(config: RunConfig, out: Path) -> int:
     sys_, sig = _load_inputs(config)
-    _write_json(out / "system.json", system_to_dict(sys_))
-    _write_json(out / "signal.json", signal_to_dict(sig))
     if config.circle is None and not config.x0:
         config.circle = 8
+    _initial_conditions(config, sys_.n)     # refused before any output
+    _write_json(out / "system.json", system_to_dict(sys_))
+    _write_json(out / "signal.json", signal_to_dict(sig))
     status = _cmd_analyze(config, out)
     sim_status = _cmd_simulate(config, out)
     if config.example == 2:

@@ -4,7 +4,10 @@ Plain kernels over numpy/scipy: matrix exponential (scaling-and-squaring
 Pade), eigenvalues (LAPACK Hessenberg + shifted QR), induced 2-norm and LU
 solve with a pivot check.  Kernels do not validate their arguments: outside
 arrays are checked once, by as_matrix / as_square / as_vector, in the model
-constructors and the entry points that take raw arrays.
+constructors and the entry points that take raw arrays.  The eigenvalue
+kernel makes one finiteness check and then calls numpy's LAPACK gufunc
+directly, without the shape and dtype checks that np.linalg.eigvals
+repeats on every call.
 """
 
 from __future__ import annotations
@@ -14,6 +17,10 @@ import warnings
 
 import numpy as np
 import scipy.linalg
+# The LAPACK (geev) gufunc behind np.linalg.eigvals; calling it directly
+# gives the same eigenvalues without the wrapper's per-call checks.  It is
+# private to numpy, so a numpy upgrade may move it.
+from numpy.linalg._umath_linalg import eigvals as _eigvals
 
 
 class LinalgError(Exception):
@@ -68,11 +75,24 @@ def mat_exp(M) -> np.ndarray:
 
 
 def spectrum(M) -> np.ndarray:
-    """All eigenvalues of a square real matrix, as a complex array."""
-    try:
-        return np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:  # non-finite entries or no convergence
-        raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
+    """All eigenvalues of a square real matrix, or of each matrix in a
+    (k, n, n) stack, as a complex array.
+
+    Raises NumericalError on a non-finite entry or when LAPACK does not
+    converge.
+    """
+    if not np.isfinite(M).all():
+        raise NumericalError(
+            "eigenvalue computation failed: "
+            "Array must not contain infs or NaNs")
+    # the gufunc flags non-convergence as an invalid operation and returns
+    # NaN; the flag is silenced and the NaN becomes the error
+    with np.errstate(invalid="ignore"):
+        w = _eigvals(M, signature="d->D")
+    if np.isnan(w).any():
+        raise NumericalError(
+            "eigenvalue computation failed: Eigenvalues did not converge")
+    return w
 
 
 def spectral_radius(M) -> float:

@@ -7,6 +7,7 @@ no generic ODE stepper is involved anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -136,12 +137,15 @@ def _check_work(steps: float) -> None:
                          f"MAX_STEPS = {MAX_STEPS}")
 
 
-def _guard(x: np.ndarray, t: float, times, states, actives):
-    # written so that a NaN norm also trips the guard
-    if not np.linalg.norm(x) <= DIVERGENCE_GUARD:
-        partial = Trajectory(np.array(times), np.array(states),
-                             np.array(actives, dtype=int))
-        raise DivergenceError(t, partial)
+def _guard(x: np.ndarray, t: float, times: np.ndarray, states: np.ndarray,
+           active: np.ndarray, rows: int) -> None:
+    """Raise DivergenceError at time t, carrying the first rows samples,
+    once the state norm passes DIVERGENCE_GUARD."""
+    # np.linalg.norm's own formula for a real vector, without its per-call
+    # checks; written so that a NaN norm also trips the guard
+    if not math.sqrt(x.dot(x)) <= DIVERGENCE_GUARD:
+        raise DivergenceError(t, Trajectory(times[:rows], states[:rows],
+                                            active[:rows]))
 
 
 def simulate(sys: SwitchedSystem, sig: PeriodicSignal, x0: np.ndarray,
@@ -173,16 +177,18 @@ def simulate(sys: SwitchedSystem, sig: PeriodicSignal, x0: np.ndarray,
     seg_pos = 0              # position within the segment list
     t_seg = 0.0              # start time of the current segment
     x = linalg.as_vector(x0).copy()
-    times = [0.0]
-    states = [x.copy()]
-    actives = [sig.segments[seg_pos].index]
-    for t_s in sample_times:
+    times = np.array([0.0] + sample_times)
+    states = np.empty((len(times), x.size))
+    active = np.empty(len(times), dtype=int)
+    states[0] = x
+    active[0] = sig.segments[seg_pos].index
+    for row, t_s in enumerate(sample_times, start=1):
         # cross whole segments that end at or before the sample time
         while t_seg + durations[seg_pos] <= t_s + 1e-12 * max(t_s, 1.0):
             x = full_maps[seg_pos](x)
             t_seg += durations[seg_pos]
             seg_pos = (seg_pos + 1) % len(durations)
-            _guard(x, t_seg, times, states, actives)
+            _guard(x, t_seg, times, states, active, row)
         idx = sig.segments[seg_pos].index
         tau = t_s - t_seg
         if tau > 0.0:
@@ -193,14 +199,12 @@ def simulate(sys: SwitchedSystem, sig: PeriodicSignal, x0: np.ndarray,
                 partial_cache[key] = step
             x_s = step(x)
         else:
-            x_s = x.copy()
-        _guard(x_s, t_s, times, states, actives)
-        times.append(t_s)
-        states.append(x_s)
-        actives.append(idx)
+            x_s = x
+        _guard(x_s, t_s, times, states, active, row)
+        states[row] = x_s
+        active[row] = idx
 
-    return Trajectory(np.array(times), np.array(states),
-                      np.array(actives, dtype=int))
+    return Trajectory(times, states, active)
 
 
 def simulate_norm_min(sys: SwitchedSystem, x0: np.ndarray, t_end: float,
@@ -223,20 +227,18 @@ def simulate_norm_min(sys: SwitchedSystem, x0: np.ndarray, t_end: float,
     bs = np.stack([sub.b for sub in sys.subsystems])
 
     x = linalg.as_vector(x0).copy()
-    times, states, actives = [], [], []
+    times = np.arange(n_steps + 1) * h          # bitwise equal to k * h
+    states = np.empty((n_steps + 1, x.size))
+    active = np.empty(n_steps + 1, dtype=int)
     for k in range(n_steps + 1):
-        t = k * h
-        drift = As @ x + bs                       # (m, n)
-        i = int(np.argmin(drift @ x))
-        times.append(t)
-        states.append(x.copy())
-        actives.append(i + 1)
+        i = ((As @ x + bs) @ x).argmin()
+        states[k] = x
+        active[k] = i + 1
         if k < n_steps:
             x = step_maps[i](x)
-            _guard(x, t + h, times, states, actives)
+            _guard(x, k * h + h, times, states, active, k + 1)
 
-    return Trajectory(np.array(times), np.array(states),
-                      np.array(actives, dtype=int))
+    return Trajectory(times, states, active)
 
 
 def limit_cycle(sys: SwitchedSystem, sig: PeriodicSignal,

@@ -298,6 +298,22 @@ class TestSimulate:
         assert "MAX_STEPS" in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("count", [0, -3])
+    @pytest.mark.parametrize("command", ["simulate", "normmin", "example"])
+    def test_circle_below_one_is_invalid(self, tmp_path, capsys,
+                                         example1_files, command, count):
+        sys_path, sig_path = example1_files
+        out = tmp_path / "out"
+        inputs = {"simulate": ["--system", sys_path, "--signal", sig_path],
+                  "normmin": ["--system", sys_path],
+                  "example": ["1"]}[command]
+        code = run_cli([command, *inputs, "--x0", "1,0", "--circle", count,
+                        "--t-end", "1", "--dt", "0.5", "--out", out])
+        assert code == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--circle" in err
+        assert not list(out.iterdir())
+
 
 class TestCycleCommand:
     def test_limit_cycle_outputs(self, tmp_path):

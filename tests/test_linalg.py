@@ -93,6 +93,44 @@ class TestSpectrum:
         with pytest.raises(NumericalError, match="eigenvalue computation failed"):
             spectrum(np.array([[bad, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_in_stack_is_numerical_error(self, bad):
+        M = np.ones((5, 3, 3))
+        M[4, 2, 2] = bad
+        with pytest.raises(NumericalError, match="eigenvalue computation failed"):
+            spectrum(M)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), k=st.integers(1, 300),
+           stacked=st.booleans(), symmetric=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_numpy_eigvals(self, n, k, stacked, symmetric, seed):
+        # the same LAPACK routine as np.linalg.eigvals, so the values agree
+        # to the bit; symmetric matrices give all-real spectra, for which
+        # numpy returns a real array
+        M = np.random.default_rng(seed).normal(size=(k, n, n))
+        if symmetric:
+            M = M + M.transpose(0, 2, 1)
+        if not stacked:
+            M = M[0]
+        got = spectrum(M)
+        want = np.linalg.eigvals(M).astype(complex)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_convergence_is_numerical_error(self, monkeypatch):
+        # LAPACK reports no convergence as NaN output plus the invalid
+        # floating-point flag; 0/0 raises the same flag, which would turn
+        # into a RuntimeWarning (here an error) if the kernel let it out
+        def no_convergence(M, signature):
+            return np.zeros(M.shape[:-1], dtype=complex) / 0.0
+
+        monkeypatch.setattr(linalg, "_eigvals", no_convergence)
+        with pytest.raises(NumericalError, match="did not converge"):
+            spectrum(np.eye(3))
+
 
 class TestSpectralScalars:
     def test_abscissa_of_triangular_average(self):

@@ -27,6 +27,17 @@ def test_eta_sweep(tmp_path):
     assert len(rows) == 101
 
 
+def test_run_example1(tmp_path):
+    proc = run_script("run_example1.py", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    for sub in ("eta_1.1", "eta_0.001"):
+        csvs = sorted((tmp_path / sub).glob("trajectory_*.csv"))
+        assert len(csvs) == 8
+        for path in csvs:
+            rows = path.read_text().splitlines()
+            assert rows[0] == "t,x1,x2,active" and len(rows) == 1202
+
+
 def test_run_example2(tmp_path):
     proc = run_script("run_example2.py", tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -3,13 +3,16 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swstab.model import SubSystem, SwitchedSystem, Weights, average_system
 from swstab.signals import (NormMinPolicy, PeriodicSignal, Segment,
                             example_signal, shift)
-from swstab.simulate import (DivergenceError, NoAttractingCycleError,
-                             limit_cycle, poincare_map, segment_map,
-                             simulate, simulate_norm_min)
+from swstab.simulate import (DIVERGENCE_GUARD, DivergenceError,
+                             NoAttractingCycleError, Trajectory, limit_cycle,
+                             poincare_map, segment_map, simulate,
+                             simulate_norm_min)
 from swstab.stability import monodromy
 from conftest import random_switched_system
 
@@ -30,6 +33,38 @@ def walk_labels(sig, t_end, dt):
             pos = (pos + 1) % len(sig.segments)
         labels.append(sig.segments[pos].index)
     return np.array(labels)
+
+
+def norm_min_reference(sys_, x0, t_end, h):
+    """The norm-min loop written plainly, as the oracle for the lean one:
+    list appends, the np.linalg.norm guard and np.argmin."""
+    n_steps = max(1, int(round(t_end / h)))
+    step_maps = [segment_map(sub, h) for sub in sys_.subsystems]
+    As = np.stack([sub.A for sub in sys_.subsystems])
+    bs = np.stack([sub.b for sub in sys_.subsystems])
+    x = np.array(x0, dtype=float)
+    times, states, actives = [], [], []
+    for k in range(n_steps + 1):
+        t = k * h
+        i = int(np.argmin((As @ x + bs) @ x))
+        times.append(t)
+        states.append(x.copy())
+        actives.append(i + 1)
+        if k < n_steps:
+            x = step_maps[i](x)
+            if not np.linalg.norm(x) <= DIVERGENCE_GUARD:
+                raise DivergenceError(t + h, Trajectory(
+                    np.array(times), np.array(states),
+                    np.array(actives, dtype=int)))
+    return Trajectory(np.array(times), np.array(states),
+                      np.array(actives, dtype=int))
+
+
+def assert_same_trajectory(got, want):
+    for name in ("times", "states", "active"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
 
 
 class TestSegmentStep:
@@ -281,6 +316,29 @@ class TestNormMin:
         lin = example1.linear_part()
         traj = simulate_norm_min(lin, np.zeros(2), 1.0, NormMinPolicy(0.1))
         assert np.all(traj.active == 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_loop(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        sys_ = random_switched_system(rng, n, m, affine=True)
+        x0 = rng.normal(size=n)
+        got = simulate_norm_min(sys_, x0, 2.0, NormMinPolicy(0.01))
+        assert_same_trajectory(got, norm_min_reference(sys_, x0, 2.0, 0.01))
+
+    # h = 0.1 passes the guard with a finite state, h = 20 by overflow
+    @pytest.mark.parametrize("h", [0.1, 20.0])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_matches_reference_loop(self, h):
+        sys_ = SwitchedSystem((SubSystem(50.0 * np.eye(2), np.zeros(2)),))
+        x0 = np.array([1.0, 0.0])
+        with pytest.raises(DivergenceError) as got:
+            simulate_norm_min(sys_, x0, 40.0, NormMinPolicy(h))
+        with pytest.raises(DivergenceError) as want:
+            norm_min_reference(sys_, x0, 40.0, h)
+        assert got.value.time == want.value.time
+        assert_same_trajectory(got.value.trajectory, want.value.trajectory)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_state_diverges(self):
