@@ -261,7 +261,13 @@ def _cmd_example(config: RunConfig, out: Path) -> int:
 
 # -- argument parsing ---------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Reuse is safe: every option defaults to SUPPRESS, so each parse starts
+    from an empty namespace and an appended option never carries over.
+    """
     parser = argparse.ArgumentParser(
         prog="swstab",
         description="Stabilising switching signals for switched affine systems")

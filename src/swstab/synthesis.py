@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from . import linalg
 from .model import SwitchedSystem, Weights, average_system
@@ -24,6 +23,9 @@ class CombinationResult:
     abscissa: float        # max Re eigenvalue of sum_i alpha_i A_i
     found: bool            # abscissa < 0
     evaluations: int
+    # Nelder-Mead outcome, {"status": "converged" | "maxiter",
+    # "iterations": k}; None for a single matrix, which is not refined
+    refinement: Optional[dict] = None
 
     def to_dict(self) -> dict:
         return {
@@ -32,6 +34,7 @@ class CombinationResult:
             "abscissa": self.abscissa,
             "found": self.found,
             "evaluations": self.evaluations,
+            "refinement": self.refinement,
         }
 
 
@@ -57,6 +60,13 @@ _SCAN_BLOCK = 256
 MAX_GRID_ENTRIES = 12_500_000
 # Bisection tolerance on eta of max_stable_eta.
 DEFAULT_REFINE_TOL = 1e-3
+# Nelder-Mead stopping rule: simplex spread in x and in value, iterations.
+_XATOL, _FATOL, _MAXITER = 1e-10, 1e-12, 2000
+# An iteration's trial points are c * centroid - d * worst vertex, in the
+# rows: reflection, expansion, outside and inside contraction
+# (coefficients rho = 1, chi = 2, psi = 1/2).
+_TRIAL_C = np.array([[2.0], [3.0], [1.5], [0.5]])
+_TRIAL_D = np.array([[1.0], [2.0], [0.5], [-0.5]])
 
 
 def _grid_entries(m: int, steps: int) -> int:
@@ -114,14 +124,104 @@ def _abscissae(alphas: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
     return linalg.spectrum(mats).real.max(axis=-1)
 
 
+def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray):
+    """Minimise the abscissa at weights |z| / sum|z| over z, from x0.
+
+    scipy.optimize's non-adaptive Nelder-Mead (scipy 1.17), operation for
+    operation: the same initial simplex, centroid, trial points, shrink,
+    np.argsort ordering and stopping rule, so every bit of the result
+    matches.  An iteration evaluates its four trial points, and a shrink its
+    N new vertices, in one _abscissae call each.  Only the points the
+    sequential method evaluates are counted, and only when sum|z| > 0 (else
+    their value is +inf); an unused trial point never raises.
+
+    Returns (x, value, iterations, converged, evaluations).
+    """
+    N = len(x0)
+    evaluations = 0
+
+    def block(points: np.ndarray):
+        """Getter of each row's value, as the sequential method takes it.
+
+        The rows are evaluated together.  If that fails (weights not finite
+        where sum|z| is 0 or |z| overflowed, or no eigenvalue convergence),
+        each row is evaluated alone when taken, so only a point the
+        sequential method evaluates can raise.
+        """
+        az = np.abs(points)
+        s = az.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = az / s[:, None]
+        try:
+            vals = _abscissae(w, flat, n)
+        except linalg.NumericalError:
+            vals = None
+
+        def take(k: int) -> float:
+            nonlocal evaluations
+            if s[k] <= 0.0:
+                return np.inf
+            evaluations += 1
+            if vals is None:
+                return float(_abscissae(w[k][None], flat, n)[0])
+            return float(vals[k])
+        return take
+
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        y = x0.copy()
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    take = block(sim)
+    fsim = np.array([take(k) for k in range(N + 1)])
+    order = np.argsort(fsim)
+    sim, fsim = sim[order], fsim[order]
+
+    iterations = 1
+    while iterations < _MAXITER:
+        if (np.abs(sim[1:] - sim[0]).max() <= _XATOL
+                and np.abs(fsim[0] - fsim[1:]).max() <= _FATOL):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N    # rows summed in order, as scipy
+        trials = _TRIAL_C * xbar - _TRIAL_D * sim[-1]
+        take = block(trials)
+        fxr, shrink = take(0), False
+        if fxr < fsim[0]:
+            fxe = take(1)
+            k, f = (1, fxe) if fxe < fxr else (0, fxr)
+        elif fxr < fsim[-2]:
+            k, f = 0, fxr
+        elif fxr < fsim[-1]:
+            k, f = 2, take(2)
+            shrink = f > fxr
+        else:
+            k, f = 3, take(3)
+            shrink = f >= fsim[-1]
+        if shrink:
+            sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+            take = block(sim[1:])
+            fsim[1:] = [take(j) for j in range(N)]
+        else:
+            sim[-1], fsim[-1] = trials[k], f
+        iterations += 1
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return sim[0], fsim.min(), iterations, iterations < _MAXITER, evaluations
+
+
 def find_stable_combination(matrices: Sequence[np.ndarray],
                             resolution: float = 0.05) -> CombinationResult:
     """Minimise the spectral abscissa of sum_i alpha_i A_i over the simplex.
 
     Coarse grid scan at the given resolution, in stacked eigenvalue calls,
-    then a derivative-free (Nelder-Mead) refinement from the best grid point;
-    the abscissa is nonsmooth, so no gradients are used.  A single matrix is
-    a one-point grid with no refinement.  The weights carry period 1.  A
+    then a derivative-free refinement from the best grid point: the
+    in-house Nelder-Mead of _nelder_mead, which reproduces scipy's result
+    bit for bit and evaluates each iteration's trial points in one block.
+    The abscissa is nonsmooth, so no gradients are used.  The refinement's
+    status ("converged" or "maxiter") and iteration count are reported.  A
+    single matrix is a one-point grid with no refinement.  The weights carry
+    period 1.  A
     resolution that is not finite and positive, or whose grid would exceed
     MAX_GRID_ENTRIES weights, raises ValueError before any work.
     """
@@ -142,29 +242,24 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
     best = int(np.argmin(vals))
     best_alpha, best_val = grid[best], float(vals[best])
     evaluations = len(grid)
+    refinement = None
 
     if m > 1:
-        def objective(z: np.ndarray) -> float:
-            nonlocal evaluations
-            az = np.abs(z)
-            s = az.sum()
-            if s <= 0.0:
-                return np.inf
-            evaluations += 1
-            return float(_abscissae((az / s)[None], flat, n)[0])
-
-        res = scipy.optimize.minimize(
-            objective, best_alpha + 1e-3, method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
-        if np.isfinite(res.fun) and res.fun < best_val:
-            z = np.abs(res.x)
-            best_alpha, best_val = z / z.sum(), float(res.fun)
+        x, fval, iterations, converged, nm_evaluations = _nelder_mead(
+            flat, n, best_alpha + 1e-3)
+        evaluations += nm_evaluations
+        refinement = {"status": "converged" if converged else "maxiter",
+                      "iterations": iterations}
+        if np.isfinite(fval) and fval < best_val:
+            z = np.abs(x)
+            best_alpha, best_val = z / z.sum(), float(fval)
 
     return CombinationResult(
         weights=Weights(best_alpha),
         abscissa=float(best_val),
         found=bool(best_val < 0.0),
         evaluations=evaluations,
+        refinement=refinement,
     )
 
 

@@ -2,6 +2,10 @@ import importlib
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from swstab.signals import load_signal, example_signal
 from swstab import presets
 
 simulate_module = importlib.import_module("swstab.simulate")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args):
@@ -460,3 +465,46 @@ class TestFlags:
         assert cli._parse_k_list(None) == list(cli.DEFAULT_K_LIST)
         with pytest.raises(ValueError):
             cli._parse_k_list("0,2")
+
+
+class TestParserReuse:
+    ARGV = [
+        ["normmin", "--system", "lin.json", "--x0", "1,0", "--x0", "-0.3,0.7",
+         "--tol", "common_equilibrium=1e-6", "--tol", "refine_tol=0.01",
+         "--t-end", "1", "--dt", "0.01", "--out", "out"],
+        ["normmin", "--system", "lin.json", "--circle", "2", "--t-end", "1",
+         "--dt", "0.01", "--out", "out"],
+    ]
+
+    def run_in(self, monkeypatch, path, argv):
+        path.mkdir()
+        (path / "lin.json").write_text(json.dumps({"subsystems": [
+            {"A": presets.A1.tolist()}, {"A": presets.A2.tolist()}]}))
+        monkeypatch.chdir(path)
+        assert run_cli(argv) == cli.EXIT_OK
+        return {p.name: p.read_bytes() for p in (path / "out").iterdir()}
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_appended_options_do_not_leak(self, tmp_path, monkeypatch):
+        # one process, the two calls in a row, against each on a new parser
+        together = [self.run_in(monkeypatch, tmp_path / f"together{k}", argv)
+                    for k, argv in enumerate(self.ARGV)]
+        alone = []
+        for k, argv in enumerate(self.ARGV):
+            cli.build_parser.cache_clear()
+            alone.append(self.run_in(monkeypatch, tmp_path / f"alone{k}", argv))
+        assert together == alone
+        assert sorted(alone[1]) == ["normmin.json", "trajectory_00.csv",
+                                    "trajectory_01.csv"]
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # scipy.optimize would add about 0.35 s to every command-line start
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = ("import sys, swstab.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy.optimize' or m.startswith('scipy.optimize.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swstab import presets, synthesis
-from swstab.linalg import spectral_abscissa
+from swstab.linalg import NumericalError, spectral_abscissa
 from swstab.model import Weights
 from swstab.signals import activation_fractions, from_weights
 from swstab.stability import is_ici_stable
@@ -124,6 +124,119 @@ class TestStackedScan:
         assert np.array_equal(result.weights.alpha, alpha)
         assert result.abscissa == val
         assert result.evaluations == evaluations
+
+
+def scipy_refinement(matrices, resolution):
+    """The grid scan, then scipy's Nelder-Mead on the one-row objective:
+    the oracle the in-house loop must reproduce.  Returns the weights, the
+    abscissa, the counted evaluations, scipy's result and the weight rows
+    the sequential method evaluated."""
+    m, n = len(matrices), len(matrices[0])
+    flat = np.stack(matrices).reshape(m, n * n)
+    grid = synthesis._simplex_grid(m, synthesis._grid_steps(m, resolution))
+    vals = synthesis._abscissae(grid, flat, n)
+    best = int(np.argmin(vals))
+    best_alpha, best_val = grid[best], float(vals[best])
+    evaluations, rows = len(grid), [row.tobytes() for row in grid]
+
+    def objective(z):
+        nonlocal evaluations
+        az = np.abs(z)
+        s = az.sum()
+        if s <= 0.0:
+            return np.inf
+        evaluations += 1
+        rows.append((az / s).tobytes())
+        return float(synthesis._abscissae((az / s)[None], flat, n)[0])
+
+    res = scipy.optimize.minimize(
+        objective, best_alpha + 1e-3, method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
+    if np.isfinite(res.fun) and res.fun < best_val:
+        z = np.abs(res.x)
+        best_alpha, best_val = z / z.sum(), float(res.fun)
+    return best_alpha, best_val, evaluations, res, set(rows)
+
+
+@st.composite
+def families(draw):
+    """Random families, and tie-heavy ones: repeated matrices, commuting
+    diagonal families and scalar multiples of one matrix."""
+    m, n = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "repeated", "diagonal", "scalar"]))
+    if kind == "random":
+        mats = rng.normal(size=(m, n, n))
+    elif kind == "repeated":
+        mats = rng.normal(size=(2, n, n))[rng.integers(0, 2, size=m)]
+    elif kind == "diagonal":
+        mats = np.stack([np.diag(d) for d in rng.integers(-3, 3, size=(m, n))])
+    else:
+        mats = rng.integers(-3, 4, size=(m, 1, 1)) * rng.normal(size=(n, n))
+    steps = draw(st.integers(1, 6 if m <= 3 else 3))
+    return list(mats.astype(float)), 1.0 / steps
+
+
+class TestNelderMead:
+    @settings(max_examples=40, deadline=None)
+    @given(families())
+    def test_equals_scipy(self, family):
+        matrices, resolution = family
+        result = find_stable_combination(matrices, resolution=resolution)
+        alpha, val, evaluations, res, _ = scipy_refinement(matrices,
+                                                           resolution)
+        grid_size = len(synthesis._simplex_grid(
+            len(matrices), synthesis._grid_steps(len(matrices), resolution)))
+        assert np.array_equal(result.weights.alpha, alpha)
+        assert result.abscissa == val
+        assert result.evaluations == evaluations == grid_size + res.nfev
+        assert result.refinement == {
+            "status": {0: "converged", 2: "maxiter"}[res.status],
+            "iterations": res.nit}
+
+    def test_single_matrix_not_refined(self):
+        result = find_stable_combination([-np.eye(2)])
+        assert result.refinement is None
+        assert result.to_dict()["refinement"] is None
+
+    def test_maxiter_reported(self, monkeypatch):
+        monkeypatch.setattr(synthesis, "_MAXITER", 5)
+        result = find_stable_combination([presets.A1, presets.A2], 0.1)
+        assert result.refinement == {"status": "maxiter", "iterations": 5}
+
+    @pytest.mark.parametrize("poison", ["raise", "nan"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unused_trial_points_ignored(self, monkeypatch, poison, seed):
+        # the evaluator fails on every point the sequential method would
+        # not evaluate; the block evaluation must not notice
+        rng = np.random.default_rng(seed)
+        m = 2 + seed % 3
+        if seed == 3:       # all ties
+            matrices = [rng.normal(size=(3, 3))] * m
+        else:
+            matrices = list(rng.normal(size=(m, 3, 3)))
+        want = find_stable_combination(matrices, resolution=0.1)
+        used = scipy_refinement(matrices, 0.1)[4]
+        evaluate = synthesis._abscissae
+        poisoned = 0
+
+        def picky(alphas, flat, n):
+            nonlocal poisoned
+            bad = np.array([row.tobytes() not in used for row in alphas])
+            poisoned += int(bad.sum())
+            if bad.any() and poison == "raise":
+                raise NumericalError("unused point evaluated")
+            vals = evaluate(alphas, flat, n)
+            vals[bad] = np.nan
+            return vals
+
+        monkeypatch.setattr(synthesis, "_abscissae", picky)
+        got = find_stable_combination(matrices, resolution=0.1)
+        assert poisoned > 0
+        assert np.array_equal(got.weights.alpha, want.weights.alpha)
+        assert got.abscissa == want.abscissa
+        assert got.evaluations == want.evaluations
+        assert got.refinement == want.refinement
 
 
 class TestResolution:
