@@ -32,7 +32,8 @@ from .simulate import (DivergenceError, NoAttractingCycleError,
                        DegenerateCycleError, limit_cycle, simulate,
                        simulate_norm_min)
 from .synthesis import (DEFAULT_REFINE_TOL, _fitting_resolution,
-                        find_stable_combination, max_stable_eta)
+                        check_eta_search, find_stable_combination,
+                        max_stable_eta)
 
 # the simulate module: the package namespace binds "simulate" to the function
 _simulation = importlib.import_module(".simulate", __package__)
@@ -339,7 +340,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
                    for item in given.get("x0", [])]
     given["k_list"] = _parse_k_list(given.get("k_list"))
     given["tolerances"] = _parse_tols(given.get("tolerances"))
-    return RunConfig(**given)
+    config = RunConfig(**given)
+    # refused here, not after synthesize's simplex search has written output
+    check_eta_search(config.eta_max, config.grid_points,
+                     config.tolerances.get("refine_tol", DEFAULT_REFINE_TOL))
+    return config
 
 
 _DISPATCH = {

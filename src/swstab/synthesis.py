@@ -135,6 +135,14 @@ def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray):
     sequential method evaluates are counted, and only when sum|z| > 0 (else
     their value is +inf); an unused trial point never raises.
 
+    Where the stopping rule cannot fire, the sorted simplex and its values
+    often come to repeat bit for bit: at a coalescing eigenvalue the
+    abscissa is not Lipschitz, so the values stay further apart than fatol
+    while the vertices no longer move.  Each iteration's state is keyed by
+    its bytes; once a key repeats, the loop returns the state, and the
+    evaluation count, that it would reach at _MAXITER.  The result, and
+    evaluations, are those of the sequential method run to _MAXITER.
+
     Returns (x, value, iterations, converged, evaluations).
     """
     N = len(x0)
@@ -178,11 +186,25 @@ def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray):
     order = np.argsort(fsim)
     sim, fsim = sim[order], fsim[order]
 
+    # trail[k] holds (best vertex, best value, evaluations) at iteration
+    # k + 1; seen maps each sorted state's bytes to its index in trail
+    trail, seen = [], {}
     iterations = 1
     while iterations < _MAXITER:
         if (np.abs(sim[1:] - sim[0]).max() <= _XATOL
                 and np.abs(fsim[0] - fsim[1:]).max() <= _FATOL):
             break
+        start = seen.setdefault(sim.tobytes() + fsim.tobytes(), len(trail))
+        if start < len(trail):
+            # the state repeats, and the next state depends on it alone:
+            # the loop cycles with this period until _MAXITER
+            period = len(trail) - start
+            cycles, offset = divmod(_MAXITER - 1 - len(trail), period)
+            x, value, reached = trail[start + offset]
+            done = trail[start][2]
+            evaluations += cycles * (evaluations - done) + reached - done
+            return x, value, _MAXITER, False, evaluations
+        trail.append((sim[0].copy(), fsim.min(), evaluations))
         xbar = np.add.reduce(sim[:-1], 0) / N    # rows summed in order, as scipy
         trials = _TRIAL_C * xbar - _TRIAL_D * sim[-1]
         take = block(trials)
@@ -218,6 +240,9 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
     then a derivative-free refinement from the best grid point: the
     in-house Nelder-Mead of _nelder_mead, which reproduces scipy's result
     bit for bit and evaluates each iteration's trial points in one block.
+    A refinement whose simplex comes back to an earlier state is
+    fast-forwarded to maxiter instead of replaying the cycle; evaluations
+    still counts every point the sequential method takes, grid included.
     The abscissa is nonsmooth, so no gradients are used.  The refinement's
     status ("converged" or "maxiter") and iteration count are reported.  A
     single matrix is a one-point grid with no refinement.  The weights carry
@@ -268,6 +293,17 @@ def default_eta_max(sys: SwitchedSystem, w: Weights) -> float:
     return 10.0 / linalg.operator_norm_2(average_system(sys, w).A)
 
 
+def check_eta_search(eta_max: Optional[float], grid_points: int,
+                     refine_tol: float) -> None:
+    """Refuse max_stable_eta options it cannot work with (ValueError)."""
+    if eta_max is not None and not (math.isfinite(eta_max) and eta_max > 0.0):
+        raise ValueError(f"eta_max must be finite and > 0, got {eta_max}")
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be >= 1, got {grid_points}")
+    if not (math.isfinite(refine_tol) and refine_tol > 0.0):
+        raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol}")
+
+
 def max_stable_eta(sys: SwitchedSystem, w: Weights,
                    eta_max: Optional[float] = None,
                    grid_points: int = 50,
@@ -277,17 +313,16 @@ def max_stable_eta(sys: SwitchedSystem, w: Weights,
     Scans rho(Phi(eta)) on a uniform grid up to eta_max; eta_star is located
     by bisection between the last stable and first unstable grid points.
     rho need not be monotone in eta, so stable islands beyond the first
-    instability show up in the grid but never extend eta_star.
+    instability show up in the grid but never extend eta_star.  The
+    bisection also ends when no float lies strictly between its bounds.
+    Options that check_eta_search refuses raise ValueError before any work.
     """
+    check_eta_search(eta_max, grid_points, refine_tol)
     if linalg.spectral_abscissa(average_system(sys, w).A) >= 0.0:
         raise ValueError("the averaged matrix is not stable; "
                          "run find_stable_combination first")
     if eta_max is None:
         eta_max = default_eta_max(sys, w)
-    if not eta_max > 0.0:
-        raise ValueError(f"eta_max must be positive, got {eta_max}")
-    if grid_points < 1:
-        raise ValueError("grid_points must be >= 1")
 
     def rho(eta: float) -> float:
         return linalg.spectral_radius(monodromy(sys, from_weights(w, eta)))
@@ -303,6 +338,8 @@ def max_stable_eta(sys: SwitchedSystem, w: Weights,
     hi = grid[first_unstable][0]
     while hi - lo > refine_tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:       # no float left between: tol too fine
+            break
         if rho(mid) < 1.0:
             lo = mid
         else:

@@ -183,6 +183,36 @@ class TestSynthesize:
         assert err.startswith("error: resolution") and err.count("\n") == 1
         assert not (tmp_path / "combination.json").exists()
 
+    @pytest.mark.parametrize("option", [
+        "--tol=refine_tol=0", "--tol=refine_tol=-1", "--tol=refine_tol=nan",
+        "--tol=refine_tol=inf", "--grid-points=0", "--eta-max=-1",
+        "--eta-max=nan", "--eta-max=inf"])
+    def test_bad_eta_search_option_refused_first(self, tmp_path, capsys,
+                                                 monkeypatch, example1_files,
+                                                 option):
+        def no_search(*args, **kwargs):
+            raise AssertionError("simplex search run for a refused option")
+        monkeypatch.setattr(cli, "find_stable_combination", no_search)
+        sys_path, _ = example1_files
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run_cli(["synthesize", "--system", sys_path, option,
+                        "--out", out])
+        assert code == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not list(out.iterdir())
+
+    def test_refine_tol_below_float_spacing_ends(self, tmp_path,
+                                                 example1_files):
+        sys_path, _ = example1_files
+        code = run_cli(["synthesize", "--system", sys_path, "--resolution",
+                        "0.1", "--grid-points", "5", "--tol",
+                        "refine_tol=1e-300", "--out", tmp_path])
+        assert code == cli.EXIT_OK
+        assert json.loads(
+            (tmp_path / "eta_search.json").read_text())["eta_star"] > 0.0
+
     def test_default_tolerances_are_library_defaults(self, tmp_path,
                                                      example1_files,
                                                      monkeypatch):

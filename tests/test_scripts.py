@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +48,13 @@ def test_run_example2(tmp_path):
         assert cycle["practical_radius"] > 0.0
         header = (sub / "orbit.csv").read_text().split("\n", 1)[0]
         assert header == "t,x1,x2,active"
+
+
+def test_synthesis_digest():
+    digests = []
+    for _ in range(2):
+        proc = run_script("synthesis_digest.py", "--seed", 1, "--count", 2)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert re.fullmatch(r"[0-9a-f]{64}", digests[0])
+    assert digests[0] == digests[1]

@@ -126,7 +126,7 @@ class TestStackedScan:
         assert result.evaluations == evaluations
 
 
-def scipy_refinement(matrices, resolution):
+def scipy_refinement(matrices, resolution, maxiter=2000):
     """The grid scan, then scipy's Nelder-Mead on the one-row objective:
     the oracle the in-house loop must reproduce.  Returns the weights, the
     abscissa, the counted evaluations, scipy's result and the weight rows
@@ -151,7 +151,7 @@ def scipy_refinement(matrices, resolution):
 
     res = scipy.optimize.minimize(
         objective, best_alpha + 1e-3, method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
+        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": maxiter})
     if np.isfinite(res.fun) and res.fun < best_val:
         z = np.abs(res.x)
         best_alpha, best_val = z / z.sum(), float(res.fun)
@@ -237,6 +237,66 @@ class TestNelderMead:
         assert got.abscissa == want.abscissa
         assert got.evaluations == want.evaluations
         assert got.refinement == want.refinement
+
+
+def design_family(seed):
+    """Three random 3x3 matrices, each unstable, with a mean of abscissa
+    below -0.1: the benchmark's design systems."""
+    rng = np.random.default_rng(seed)
+    while True:
+        mats = rng.normal(size=(3, 3, 3))
+        if (np.linalg.eigvals(mats).real.max(axis=1).min() > 0.0
+                and np.linalg.eigvals(mats.mean(axis=0)).real.max() < -0.1):
+            return list(mats)
+
+
+def assert_equals_scipy(matrices, resolution, maxiter=2000):
+    result = find_stable_combination(matrices, resolution=resolution)
+    alpha, val, evaluations, res, _ = scipy_refinement(matrices, resolution,
+                                                       maxiter)
+    assert np.array_equal(result.weights.alpha, alpha)
+    assert result.abscissa == val
+    assert result.evaluations == evaluations
+    assert result.refinement == {
+        "status": {0: "converged", 2: "maxiter"}[res.status],
+        "iterations": res.nit}
+    return result
+
+
+# At resolution 0.05 these design families stop at maxiter.  All but 49
+# reach a sorted state that repeats bit for bit; 18 first visits the state
+# of iteration 290 again at iteration 296 (period 6).
+MAXITER_SEEDS = [3, 7, 18, 43, 49, 65, 100]
+CYCLE_SEED, CYCLE_START, CYCLE_PERIOD = 18, 290, 6
+
+
+class TestFastForward:
+    @pytest.mark.parametrize("seed", MAXITER_SEEDS)
+    def test_maxiter_equals_scipy(self, seed):
+        result = assert_equals_scipy(design_family(seed), 0.05)
+        assert result.refinement == {"status": "maxiter", "iterations": 2000}
+
+    @pytest.mark.parametrize("maxiter", [
+        *range(CYCLE_START, CYCLE_START + 3 * CYCLE_PERIOD + 1), 331, 997])
+    def test_every_maxiter_around_the_cycle(self, monkeypatch, maxiter):
+        monkeypatch.setattr(synthesis, "_MAXITER", maxiter)
+        result = assert_equals_scipy(design_family(CYCLE_SEED), 0.05, maxiter)
+        assert result.refinement["iterations"] == maxiter
+
+    def test_cycle_is_not_replayed(self, monkeypatch):
+        evaluate = synthesis._abscissae
+        calls = 0
+
+        def counting(alphas, flat, n):
+            nonlocal calls
+            calls += 1
+            return evaluate(alphas, flat, n)
+
+        monkeypatch.setattr(synthesis, "_abscissae", counting)
+        result = find_stable_combination(design_family(CYCLE_SEED), 0.05)
+        # one call per iteration, and one per shrink, up to the repeat
+        assert result.refinement["iterations"] == 2000
+        assert calls < 2 * (CYCLE_START + CYCLE_PERIOD)
 
 
 class TestResolution:
@@ -325,3 +385,20 @@ class TestMaxStableEta:
 
     def test_default_eta_max_positive(self, example1):
         assert default_eta_max(example1, self.HALF4) > 0.0
+
+    @pytest.mark.parametrize("option", [
+        {"eta_max": -1.0}, {"eta_max": np.nan}, {"eta_max": np.inf},
+        {"grid_points": 0}, {"refine_tol": 0.0}, {"refine_tol": -1.0},
+        {"refine_tol": np.nan}, {"refine_tol": np.inf}])
+    def test_bad_option_refused(self, example1, option):
+        with pytest.raises(ValueError, match=next(iter(option))):
+            max_stable_eta(example1, self.HALF4, **option)
+
+    def test_tolerance_below_float_spacing_ends(self, example1):
+        # the bisection stops once no float lies between its bounds
+        fine = max_stable_eta(example1, self.HALF4, eta_max=5.0,
+                              grid_points=10, refine_tol=1e-300)
+        coarse = max_stable_eta(example1, self.HALF4, eta_max=5.0,
+                                grid_points=10, refine_tol=1e-3)
+        assert abs(fine.eta_star - coarse.eta_star) <= 1e-3
+        assert fine.grid == coarse.grid
