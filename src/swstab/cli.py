@@ -30,7 +30,7 @@ from .signals import (NormMinPolicy, PeriodicSignal, activation_fractions,
 from .stability import DEFAULT_K_LIST, is_ici_stable, lemma4_bound_holds
 from .simulate import (DivergenceError, NoAttractingCycleError,
                        DegenerateCycleError, limit_cycle, simulate,
-                       simulate_norm_min)
+                       simulate_norm_min, write_table)
 from .synthesis import (DEFAULT_REFINE_TOL, _fitting_resolution,
                         check_eta_search, find_stable_combination,
                         max_stable_eta)
@@ -205,8 +205,8 @@ def _cmd_synthesize(config: RunConfig, out: Path) -> int:
         grid_points=config.grid_points,
         refine_tol=config.tolerances.get("refine_tol", DEFAULT_REFINE_TOL))
     _write_json(out / "eta_search.json", _report(config, search.to_dict()))
-    np.savetxt(out / "eta_grid.csv", search.grid, fmt="%.12g", delimiter=",",
-               header="eta,spectral_radius", comments="")
+    with open(out / "eta_grid.csv", "w") as fh:
+        write_table(fh, ["eta", "spectral_radius"], search.grid)
     return EXIT_OK
 
 

@@ -19,6 +19,9 @@ from .model import (EquilibriumError, SubSystem, SwitchedSystem,
 from .signals import NormMinPolicy, PeriodicSignal, activation_fractions
 
 DIVERGENCE_GUARD = 1e12
+# Rows formatted by one % in write_table; larger blocks raise peak memory
+# without writing faster.
+CSV_BLOCK_ROWS = 256
 # Most steps one call may take: samples plus segment crossings for
 # simulate, closed-loop steps for simulate_norm_min.
 MAX_STEPS = 1_000_000
@@ -41,6 +44,22 @@ class DegenerateCycleError(Exception):
     """I - M is singular; the fixed point of the period map is not unique."""
 
 
+def write_table(fh, names: list[str], rows: np.ndarray) -> None:
+    """Write a header line of names, then each row of the 2-D array rows
+    as "%.12g" values joined by ",".
+
+    The bytes are those of np.savetxt(fh, rows, fmt="%.12g", delimiter=",",
+    header=",".join(names), comments=""); the rows are formatted
+    CSV_BLOCK_ROWS at a time with one % each, not one call per row.
+    """
+    rows = np.asarray(rows, dtype=float)
+    fh.write(",".join(names) + "\n")
+    line = ",".join(["%.12g"] * rows.shape[1]) + "\n"
+    for start in range(0, len(rows), CSV_BLOCK_ROWS):
+        block = rows[start:start + CSV_BLOCK_ROWS]
+        fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Time-stamped state samples with the active subsystem per sample."""
@@ -55,11 +74,12 @@ class Trajectory:
             raise ValueError("sample times must be strictly increasing")
 
     def write_csv(self, fh) -> None:
-        """Rows "t,x1,...,xn,active" ordered by time."""
+        """Header "t,x1,...,xn,active", then one row per sample in time
+        order, written by write_table: the bytes of np.savetxt with
+        fmt="%.12g" and delimiter=","."""
         n = self.states.shape[1]
-        header = ",".join(["t"] + [f"x{i + 1}" for i in range(n)] + ["active"])
-        np.savetxt(fh, np.column_stack([self.times, self.states, self.active]),
-                   fmt="%.12g", delimiter=",", header=header, comments="")
+        write_table(fh, ["t"] + [f"x{i + 1}" for i in range(n)] + ["active"],
+                    np.column_stack([self.times, self.states, self.active]))
 
 
 @dataclass(frozen=True)
@@ -213,30 +233,56 @@ def simulate_norm_min(sys: SwitchedSystem, x0: np.ndarray, t_end: float,
 
     Each step holds the selected subsystem for the policy step and advances
     exactly; the recorded active index is the selection made at the sample's
-    state, argmin_i x^T (A_i x + b_i) with ties to the lowest index.  More
-    than MAX_STEPS steps raises ValueError up front.
+    state, argmin_i x^T (A_i x + b_i) with ties to the lowest index.  The
+    A_i and the one-step matrices M_i of segment_map are stacked into one
+    (2mn, n) array, so a step is one matrix-vector product: its first m
+    blocks give the selection values, and the selected M_i block plus v_i
+    is the next state.  The samples lie at k * step up to t_end, so more
+    than MAX_STEPS steps, or a t_end that is not a whole number of steps
+    (to a relative 1e-9), raises ValueError up front.
     """
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     h = policy.step
-    _check_work(t_end / h)
-    n_steps = max(1, int(round(t_end / h)))
+    steps = t_end / h
+    _check_work(steps)
+    n_steps = round(steps)
+    if n_steps < 1 or abs(steps - n_steps) > 1e-9 * steps:
+        raise ValueError(f"t_end = {t_end:g} is not a whole number of steps "
+                         f"of {h:g} (t_end / step = {steps:.10g})")
     step_maps = [segment_map(sub, h) for sub in sys.subsystems]
-    # stacked derivative pieces for fast selection
-    As = np.stack([sub.A for sub in sys.subsystems])
+    m, n = sys.m, sys.n
+    stacked = np.concatenate([sub.A for sub in sys.subsystems]
+                             + [step.M for step in step_maps])
     bs = np.stack([sub.b for sub in sys.subsystems])
+    # views of one product: the (m, n) block of A_i x, to which b_i is
+    # added in place, then each M_i x
+    product = np.empty(2 * m * n)
+    rates = product[:m * n].reshape(m, n)
+    moves = [(product[(m + i) * n:(m + i + 1) * n], step.v)
+             for i, step in enumerate(step_maps)]
+    values = np.empty(m)
 
-    x = linalg.as_vector(x0).copy()
+    x0 = linalg.as_vector(x0)
     times = np.arange(n_steps + 1) * h          # bitwise equal to k * h
-    states = np.empty((n_steps + 1, x.size))
+    states = np.empty((n_steps + 1, x0.size))
     active = np.empty(n_steps + 1, dtype=int)
-    for k in range(n_steps + 1):
-        i = ((As @ x + bs) @ x).argmin()
-        states[k] = x
-        active[k] = i + 1
-        if k < n_steps:
-            x = step_maps[i](x)
-            _guard(x, k * h + h, times, states, active, k + 1)
+    states[0] = x0
+    x = states[0]
+    # the product also multiplies the step maps that are not selected; one
+    # that overflowed must not warn, and a non-finite state trips the guard
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps + 1):
+            np.matmul(stacked, x, out=product)
+            np.add(rates, bs, out=rates)
+            i = np.matmul(rates, x, out=values).argmin()
+            active[k] = i + 1
+            if k < n_steps:
+                moved, v = moves[i]
+                x = np.add(moved, v, out=states[k + 1])
+                # _guard's test, inline; _guard is called only to raise
+                if not math.sqrt(x.dot(x)) <= DIVERGENCE_GUARD:
+                    _guard(x, k * h + h, times, states, active, k + 1)
 
     return Trajectory(times, states, active)
 

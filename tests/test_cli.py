@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import io
 import json
 import math
 import os
@@ -171,6 +172,12 @@ class TestSynthesize:
         lines = (out / "eta_grid.csv").read_text().strip().split("\n")
         assert lines[0] == "eta,spectral_radius"
         assert len(lines) == 31
+        # the bytes np.savetxt wrote for the same grid before the block writer
+        grid = [(row["eta"], row["spectral_radius"]) for row in search["grid"]]
+        buf = io.StringIO()
+        np.savetxt(buf, grid, fmt="%.12g", delimiter=",",
+                   header="eta,spectral_radius", comments="")
+        assert (out / "eta_grid.csv").read_text() == buf.getvalue()
 
     @pytest.mark.parametrize("resolution", ["0", "-0.5", "nan", "1e-300",
                                             "1e-7"])
@@ -409,6 +416,20 @@ class TestNormMin:
                             for p in (tmp_path / str(k) / "out").iterdir()})
         assert sorted(outputs[0]) == ["normmin.json", "trajectory_00.csv"]
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("dt", ["0.3", "3"])
+    def test_partial_step_is_invalid(self, tmp_path, capsys, dt):
+        # 1 / 0.3 and 1 / 3 steps: no sample would fall on t_end = 1
+        sys_path = tmp_path / "lin.json"
+        sys_path.write_text(json.dumps({"subsystems": [
+            {"A": presets.A1.tolist()}, {"A": presets.A2.tolist()}]}))
+        out = tmp_path / "out"
+        code = run_cli(["normmin", "--system", sys_path, "--x0", "1,0",
+                        "--t-end", "1", "--dt", dt, "--out", out])
+        assert code == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "whole number of steps" in err
+        assert not list(out.iterdir())
 
 
 class TestExample:

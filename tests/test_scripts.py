@@ -50,11 +50,13 @@ def test_run_example2(tmp_path):
         assert header == "t,x1,x2,active"
 
 
-def test_synthesis_digest():
-    digests = []
-    for _ in range(2):
-        proc = run_script("synthesis_digest.py", "--seed", 1, "--count", 2)
-        assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout.strip())
-    assert re.fullmatch(r"[0-9a-f]{64}", digests[0])
-    assert digests[0] == digests[1]
+def test_output_digest():
+    for workload in ("design", "normmin-dense"):
+        digests = []
+        for _ in range(2):
+            proc = run_script("output_digest.py", "--workload", workload,
+                              "--seed", 1, "--count", 2)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert re.fullmatch(r"[0-9a-f]{64}", digests[0]), workload
+        assert digests[0] == digests[1], workload

@@ -1,5 +1,6 @@
 import importlib
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 from swstab.model import SubSystem, SwitchedSystem, Weights, average_system
 from swstab.signals import (NormMinPolicy, PeriodicSignal, Segment,
                             example_signal, shift)
-from swstab.simulate import (DIVERGENCE_GUARD, DivergenceError,
-                             NoAttractingCycleError, Trajectory, limit_cycle,
-                             poincare_map, segment_map, simulate,
-                             simulate_norm_min)
+from swstab.simulate import (CSV_BLOCK_ROWS, DIVERGENCE_GUARD,
+                             DivergenceError, NoAttractingCycleError,
+                             Trajectory, limit_cycle, poincare_map,
+                             segment_map, simulate, simulate_norm_min)
 from swstab.stability import monodromy
 from conftest import random_switched_system
 
@@ -171,6 +172,33 @@ class TestSimulate:
         assert lines[0] == "t,x1,x2,active"
         assert len(lines) == len(traj.times) + 1
 
+    SPECIAL = np.array([-0.0, np.inf, -np.inf, np.nan, 1e-300, 1e300])
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 5),
+           rows=st.sampled_from([1, 255, 256, 257, 3 * CSV_BLOCK_ROWS + 7]),
+           offset=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    def test_csv_bytes_equal_savetxt(self, n, rows, offset, seed):
+        rng = np.random.default_rng(seed)
+        times = (np.cumsum(rng.uniform(0.5, 1.5, rows))
+                 * 10.0 ** rng.uniform(-9.0, 3.0))
+        states = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(
+            -300, 300, size=(rows, n))
+        flat = states.reshape(-1)
+        flat[rng.random(flat.size) < 0.2] = rng.choice(self.SPECIAL)
+        # each special value at least once, when the table has room for it
+        k = min(flat.size, self.SPECIAL.size)
+        where = rng.permutation(flat.size)[:k]
+        flat[where] = np.roll(self.SPECIAL, offset)[:k]
+        active = rng.integers(1, 6, size=rows)
+        got = io.StringIO()
+        Trajectory(times, states, active).write_csv(got)
+        want = io.StringIO()
+        header = ",".join(["t"] + [f"x{i + 1}" for i in range(n)] + ["active"])
+        np.savetxt(want, np.column_stack([times, states, active]), fmt="%.12g",
+                   delimiter=",", header=header, comments="")
+        assert got.getvalue() == want.getvalue()
+
 
 class TestPoincareMap:
     def test_linear_reduces_to_monodromy(self, rng):
@@ -269,6 +297,28 @@ class TestWorkBound:
         with pytest.raises(ValueError, match="MAX_STEPS"):
             simulate_norm_min(example1, np.zeros(2), t_end, NormMinPolicy(dt))
 
+    @pytest.mark.parametrize("t_end, dt", [(1.0, 0.3), (1.0, 3.0),
+                                           (1.0, 0.4), (2.5, 1.0),
+                                           (1.000001, 0.01)])
+    @pytest.mark.usefixtures("no_propagation")
+    def test_norm_min_refuses_partial_step(self, example1, t_end, dt):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            simulate_norm_min(example1, np.zeros(2), t_end, NormMinPolicy(dt))
+
+    @pytest.mark.usefixtures("no_propagation")
+    def test_max_steps_refusal_comes_first(self, example1):
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            simulate_norm_min(example1, np.zeros(2), 1e7 + 0.5,
+                              NormMinPolicy(1.0))
+
+    @pytest.mark.parametrize("t_end, dt", [(10.0, 1e-3), (30.0, 1e-3),
+                                           (60.0, 0.05)])
+    def test_norm_min_accepts_whole_steps(self, example1, t_end, dt):
+        traj = simulate_norm_min(example1, np.array([1.0, 0.0]), t_end,
+                                 NormMinPolicy(dt))
+        assert len(traj.times) == round(t_end / dt) + 1
+        assert traj.times[-1] == pytest.approx(t_end, rel=1e-12)
+
     def test_bound_is_inclusive(self, example1, monkeypatch):
         monkeypatch.setattr(simulate_module, "MAX_STEPS", 100)
         policy = NormMinPolicy(0.01)
@@ -317,15 +367,38 @@ class TestNormMin:
         traj = simulate_norm_min(lin, np.zeros(2), 1.0, NormMinPolicy(0.1))
         assert np.all(traj.active == 1)
 
+    # bitwise: each row of the stacked product must round as the lone A_i
+    # and M_i products of the reference do
     @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(1, 4), m=st.integers(1, 4),
-           seed=st.integers(0, 2**32 - 1))
-    def test_matches_reference_loop(self, n, m, seed):
+    @given(n=st.integers(1, 6), m=st.integers(1, 5),
+           h=st.sampled_from([1e-3, 1e-2, 0.1]),
+           affine=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_loop(self, n, m, h, affine, seed):
         rng = np.random.default_rng(seed)
-        sys_ = random_switched_system(rng, n, m, affine=True)
+        sys_ = random_switched_system(rng, n, m, affine=affine)
         x0 = rng.normal(size=n)
-        got = simulate_norm_min(sys_, x0, 2.0, NormMinPolicy(0.01))
-        assert_same_trajectory(got, norm_min_reference(sys_, x0, 2.0, 0.01))
+        got = simulate_norm_min(sys_, x0, 2.0, NormMinPolicy(h))
+        assert_same_trajectory(got, norm_min_reference(sys_, x0, 2.0, h))
+
+    def test_unselected_overflow_adds_no_warning(self):
+        # e^{800} overflows in the second step map, which is never selected
+        sys_ = SwitchedSystem((SubSystem(-np.eye(2), np.zeros(2)),
+                               SubSystem(800.0 * np.eye(2), np.zeros(2))))
+        x0 = np.array([1.0, 0.0])
+
+        def recorded(run):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                traj = run()
+            return traj, {str(w.message) for w in caught}
+
+        got, got_warnings = recorded(
+            lambda: simulate_norm_min(sys_, x0, 10.0, NormMinPolicy(1.0)))
+        want, want_warnings = recorded(
+            lambda: norm_min_reference(sys_, x0, 10.0, 1.0))
+        assert got_warnings <= want_warnings
+        assert_same_trajectory(got, want)
+        assert np.all(got.active == 1)
 
     # h = 0.1 passes the guard with a finite state, h = 20 by overflow
     @pytest.mark.parametrize("h", [0.1, 20.0])
