@@ -8,10 +8,12 @@ perfbench/workloads.py, run as is: its generator writes the seeded inputs
 and its own operation calls `swstab.cli.main`, the command line that users
 run, in a temporary directory.  After each of the first COUNT operations
 the digest takes the name and the bytes of every file in the operation's
-output directory, in name order.
+output directory, in name order.  With --list, one line per file,
+"<op> <file> <sha256>", comes before the digest, so that two versions can
+be diffed file by file.
 
 Usage: PYTHONPATH=src python scripts/output_digest.py --workload design
-           [--seed S] [--count K]
+           [--seed S] [--count K] [--list]
 """
 
 import argparse
@@ -29,8 +31,9 @@ PERFBENCH = runpy.run_path(
 NAMES = ("design", "normmin-dense")
 
 
-def digest(workload: str, seed: int, count: int) -> str:
-    h = hashlib.sha256()
+def digest(workload: str, seed: int, count: int):
+    """The combined SHA-256, and (op, file name, file SHA-256) per file."""
+    h, files = hashlib.sha256(), []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -44,9 +47,10 @@ def digest(workload: str, seed: int, count: int) -> str:
                 for path in sorted(out.iterdir()):
                     data = path.read_bytes()
                     h.update(f"{path.name}\0{len(data)}\0".encode() + data)
+                    files.append((i, path.name, hashlib.sha256(data).hexdigest()))
         finally:
             os.chdir(cwd)
-    return h.hexdigest()
+    return h.hexdigest(), files
 
 
 def main(argv=None) -> None:
@@ -56,10 +60,17 @@ def main(argv=None) -> None:
     ap.add_argument("--count", type=int,
                     help="operations to digest, at most the workload's pool "
                          "(default: the whole pool)")
+    ap.add_argument("--list", action="store_true",
+                    help="print each file's operation, name and SHA-256 "
+                         "before the digest")
     args = ap.parse_args(argv)
     pool = PERFBENCH["WORKLOADS"][args.workload].pool
     count = pool if args.count is None else args.count
-    print(digest(args.workload, args.seed, count))
+    combined, files = digest(args.workload, args.seed, count)
+    if args.list:
+        for op, name, sha in files:
+            print(op, name, sha)
+    print(combined)
 
 
 if __name__ == "__main__":

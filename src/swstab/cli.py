@@ -95,7 +95,10 @@ def _parse_tols(items) -> dict:
         if name not in _TOLERANCE_NAMES:
             raise ValueError(f"unknown --tol name {name!r}; "
                              f"known: {', '.join(_TOLERANCE_NAMES)}")
-        tols[name] = float(value)
+        tol = float(value)
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"--tol {name} must be finite and > 0, got {tol}")
+        tols[name] = tol
     return tols
 
 
@@ -113,6 +116,8 @@ def _initial_conditions(config: RunConfig, n: int) -> list[np.ndarray]:
     for p in points:
         if p.shape != (n,):
             raise ValueError(f"initial condition {p.tolist()} has wrong dimension")
+        if not np.isfinite(p).all():
+            raise ValueError(f"initial condition {p.tolist()} is not finite")
     if config.circle is not None:
         if config.circle < 1:
             raise ValueError(f"--circle must be at least 1, got {config.circle}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -134,8 +135,11 @@ def common_equilibrium(sys: SwitchedSystem,
     """Shared equilibrium of all subsystems, or None if they disagree.
 
     Agreement is pairwise in the infinity norm; the returned point is the
-    mean of the per-subsystem equilibria.
+    mean of the per-subsystem equilibria.  A negative, infinite or NaN tol
+    raises ValueError.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     points = []
     for k, sub in enumerate(sys.subsystems):
         try:
@@ -150,6 +154,15 @@ def common_equilibrium(sys: SwitchedSystem,
 
 
 # -- JSON system specification ------------------------------------------------
+
+def json_int(value, name: str) -> int:
+    """An integer field of a JSON spec.  2 and 2.0 give 2; a boolean or a
+    value with a fractional part raises ValueError instead of truncating."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+    return int(value)
+
 
 def system_to_dict(sys: SwitchedSystem) -> dict:
     return {
@@ -178,7 +191,7 @@ def system_from_dict(spec: dict) -> SwitchedSystem:
             A = np.asarray(entry["A"], dtype=float)
             b = np.asarray(entry.get("b", np.zeros(A.shape[0])), dtype=float)
             subs.append(SubSystem(A, b))
-        declared = int(spec["n"]) if "n" in spec else None
+        declared = json_int(spec["n"], '"n"') if "n" in spec else None
     except TypeError as exc:
         raise ValueError(f"system spec value has the wrong type: {exc}") from exc
     sys_ = SwitchedSystem(tuple(subs))

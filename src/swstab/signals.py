@@ -9,7 +9,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .model import Weights
+from .model import Weights, json_int
 
 
 class Segment(NamedTuple):
@@ -167,7 +167,8 @@ def signal_from_dict(spec: dict) -> PeriodicSignal:
             and all(isinstance(s, dict) for s in entries)):
         raise ValueError('"segments" must be a list of objects')
     try:
-        segs = tuple(Segment(int(s["index"]), float(s["duration"]))
+        segs = tuple(Segment(json_int(s["index"], "segment index"),
+                             float(s["duration"]))
                      for s in entries)
         eta = float(spec.get("eta", 1.0))
     except TypeError as exc:

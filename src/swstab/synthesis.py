@@ -23,7 +23,7 @@ class CombinationResult:
     abscissa: float        # max Re eigenvalue of sum_i alpha_i A_i
     found: bool            # abscissa < 0
     evaluations: int
-    # Nelder-Mead outcome, {"status": "converged" | "maxiter",
+    # Nelder-Mead outcome, {"status": "converged" | "maxiter" | "cycle",
     # "iterations": k}; None for a single matrix, which is not refined
     refinement: Optional[dict] = None
 
@@ -138,12 +138,13 @@ def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray):
     Where the stopping rule cannot fire, the sorted simplex and its values
     often come to repeat bit for bit: at a coalescing eigenvalue the
     abscissa is not Lipschitz, so the values stay further apart than fatol
-    while the vertices no longer move.  Each iteration's state is keyed by
-    its bytes; once a key repeats, the loop returns the state, and the
-    evaluation count, that it would reach at _MAXITER.  The result, and
-    evaluations, are those of the sequential method run to _MAXITER.
+    while the vertices no longer move.  Each state follows from the one
+    before alone, so from a repeat on the loop only cycles and its best
+    value cannot fall: it stops at the first repeated state, with status
+    "cycle".
 
-    Returns (x, value, iterations, converged, evaluations).
+    Returns (x, value, iterations, status, evaluations), where status is
+    "converged", "maxiter" or "cycle".
     """
     N = len(x0)
     evaluations = 0
@@ -186,25 +187,13 @@ def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray):
     order = np.argsort(fsim)
     sim, fsim = sim[order], fsim[order]
 
-    # trail[k] holds (best vertex, best value, evaluations) at iteration
-    # k + 1; seen maps each sorted state's bytes to its index in trail
-    trail, seen = [], {}
-    iterations = 1
+    seen = {sim.tobytes() + fsim.tobytes()}
+    iterations, status = 1, "maxiter"
     while iterations < _MAXITER:
         if (np.abs(sim[1:] - sim[0]).max() <= _XATOL
                 and np.abs(fsim[0] - fsim[1:]).max() <= _FATOL):
+            status = "converged"
             break
-        start = seen.setdefault(sim.tobytes() + fsim.tobytes(), len(trail))
-        if start < len(trail):
-            # the state repeats, and the next state depends on it alone:
-            # the loop cycles with this period until _MAXITER
-            period = len(trail) - start
-            cycles, offset = divmod(_MAXITER - 1 - len(trail), period)
-            x, value, reached = trail[start + offset]
-            done = trail[start][2]
-            evaluations += cycles * (evaluations - done) + reached - done
-            return x, value, _MAXITER, False, evaluations
-        trail.append((sim[0].copy(), fsim.min(), evaluations))
         xbar = np.add.reduce(sim[:-1], 0) / N    # rows summed in order, as scipy
         trials = _TRIAL_C * xbar - _TRIAL_D * sim[-1]
         take = block(trials)
@@ -229,7 +218,12 @@ def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray):
         iterations += 1
         order = np.argsort(fsim)
         sim, fsim = sim[order], fsim[order]
-    return sim[0], fsim.min(), iterations, iterations < _MAXITER, evaluations
+        key = sim.tobytes() + fsim.tobytes()
+        if key in seen:
+            status = "cycle"
+            break
+        seen.add(key)
+    return sim[0], fsim.min(), iterations, status, evaluations
 
 
 def find_stable_combination(matrices: Sequence[np.ndarray],
@@ -240,14 +234,12 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
     then a derivative-free refinement from the best grid point: the
     in-house Nelder-Mead of _nelder_mead, which reproduces scipy's result
     bit for bit and evaluates each iteration's trial points in one block.
-    A refinement whose simplex comes back to an earlier state is
-    fast-forwarded to maxiter instead of replaying the cycle; evaluations
-    still counts every point the sequential method takes, grid included.
-    The abscissa is nonsmooth, so no gradients are used.  The refinement's
-    status ("converged" or "maxiter") and iteration count are reported.  A
-    single matrix is a one-point grid with no refinement.  The weights carry
-    period 1.  A
-    resolution that is not finite and positive, or whose grid would exceed
+    A refinement whose simplex comes back to an earlier state stops there;
+    evaluations counts the grid and every point the refinement takes.  The
+    abscissa is nonsmooth, so no gradients are used.  The refinement's
+    status ("converged", "maxiter" or "cycle") and iteration count are
+    reported.  A single matrix is a one-point grid with no refinement.  The
+    weights carry period 1.  A resolution that is not finite and positive, or whose grid would exceed
     MAX_GRID_ENTRIES weights, raises ValueError before any work.
     """
     m = len(matrices)
@@ -270,11 +262,10 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
     refinement = None
 
     if m > 1:
-        x, fval, iterations, converged, nm_evaluations = _nelder_mead(
+        x, fval, iterations, status, nm_evaluations = _nelder_mead(
             flat, n, best_alpha + 1e-3)
         evaluations += nm_evaluations
-        refinement = {"status": "converged" if converged else "maxiter",
-                      "iterations": iterations}
+        refinement = {"status": status, "iterations": iterations}
         if np.isfinite(fval) and fval < best_val:
             z = np.abs(x)
             best_alpha, best_val = z / z.sum(), float(fval)

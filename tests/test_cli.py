@@ -99,15 +99,26 @@ class TestAnalyze:
         pytest.param("--signal", '{"segments": [5]}', id="segment-int"),
         pytest.param("--signal", '{"segments": [{"index": null, "duration": 1}]}',
                      id="index-null"),
+        pytest.param("--signal", '{"segments": [{"index": 1.7, "duration": 1}, '
+                     '{"index": 2.9, "duration": 1}]}', id="index-fraction"),
+        pytest.param("--signal", '{"segments": [{"index": true, "duration": 1}]}',
+                     id="index-bool"),
+        pytest.param("--system", json.dumps({"n": 2.9, "subsystems": [
+            {"A": presets.A1.tolist()}, {"A": presets.A2.tolist()}]}),
+                     id="n-fraction"),
     ])
-    def test_malformed_json_is_invalid(self, tmp_path, example1_files,
-                                       flag, text):
+    def test_malformed_json_is_invalid(self, tmp_path, capsys,
+                                       example1_files, flag, text):
         paths = dict(zip(("--system", "--signal"), example1_files))
         paths[flag] = tmp_path / "bad.json"
         paths[flag].write_text(text)
+        out = tmp_path / "out"
         code = run_cli(["analyze", "--system", paths["--system"],
-                        "--signal", paths["--signal"], "--out", tmp_path])
+                        "--signal", paths["--signal"], "--out", out])
         assert code == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (out / "analysis.json").exists()
 
     def test_single_stable_subsystem(self, tmp_path):
         sys_path = tmp_path / "s.json"
@@ -457,6 +468,30 @@ class TestExample:
             np.testing.assert_allclose(a.A, b.A)
             np.testing.assert_allclose(a.b, b.b)
         assert sig == example_signal(1.1)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_bad_equilibrium_tol_refused(self, tmp_path, capsys, value):
+        # the subsystem equilibria (0, -1) and (-3.64, 0.82) disagree, and
+        # no tolerance may report a common one
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run_cli(["example", "2", "--eta", "0.5",
+                        f"--tol=common_equilibrium={value}", "--out", out])
+        assert code == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tol common_equilibrium")
+        assert err.count("\n") == 1
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("x0", ["nan,0", "0,inf"])
+    def test_non_finite_x0_refused_before_output(self, tmp_path, capsys, x0):
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run_cli(["example", "1", f"--x0={x0}", "--out", out])
+        assert code == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "not finite" in err and err.count("\n") == 1
+        assert not list(out.iterdir())
 
     def test_outputs_deterministic(self, tmp_path):
         out1 = tmp_path / "a"

@@ -119,6 +119,16 @@ class TestCommonEquilibrium:
             norm = np.linalg.norm(sub.A @ y + sub.b)
             assert norm <= (1.0 + np.linalg.norm(sub.A)) * 1e-9
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_bad_tol_refused(self, example2, tol):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            common_equilibrium(example2, tol=tol)
+
+    def test_zero_tol_is_exact_agreement(self):
+        sub = SubSystem(np.diag([-1.0, -2.0]), np.array([1.0, 2.0]))
+        eq = common_equilibrium(SwitchedSystem((sub, sub)), tol=0.0)
+        np.testing.assert_array_equal(eq, [1.0, 1.0])
+
     def test_singular_subsystem_reported(self):
         sys_ = SwitchedSystem((
             SubSystem(np.zeros((2, 2)), np.array([1.0, 0.0])),
@@ -142,6 +152,16 @@ class TestJson:
     def test_dimension_declaration_checked(self):
         with pytest.raises(ValueError):
             system_from_dict({"n": 3, "subsystems": [{"A": [[1.0]]}]})
+
+    @pytest.mark.parametrize("n", [2.9, 2.5, True])
+    def test_non_integral_dimension_refused(self, n):
+        with pytest.raises(ValueError, match='"n" must be an integer'):
+            system_from_dict({"n": n, "subsystems": [{"A": np.eye(2).tolist()}]})
+
+    @pytest.mark.parametrize("n", [2, 2.0])
+    def test_integral_dimension_accepted(self, n):
+        assert system_from_dict(
+            {"n": n, "subsystems": [{"A": np.eye(2).tolist()}]}).n == 2
 
     def test_load_from_file(self, tmp_path, example1):
         path = tmp_path / "sys.json"

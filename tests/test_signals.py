@@ -195,6 +195,18 @@ class TestJson:
                 "eta": 0.5}
         assert signal_from_dict(spec) == example_signal(0.5)
 
+    @pytest.mark.parametrize("index", [1.7, 2.9, True, False])
+    def test_non_integral_index_refused(self, index):
+        spec = {"segments": [{"index": index, "duration": 1.0}]}
+        with pytest.raises(ValueError, match="segment index must be an integer"):
+            signal_from_dict(spec)
+
+    def test_integral_index_accepted(self):
+        spec = {"segments": [{"index": 1, "duration": 1.0},
+                             {"index": 2.0, "duration": 1.0}]}
+        assert signal_from_dict(spec) == PeriodicSignal(
+            (Segment(1, 1.0), Segment(2, 1.0)))
+
     def test_missing_segments(self):
         with pytest.raises(ValueError):
             signal_from_dict({})

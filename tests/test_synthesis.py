@@ -67,7 +67,7 @@ class TestFindStableCombination:
             find_stable_combination([np.eye(2), np.eye(3)])
 
 
-def per_point_combination(matrices, resolution):
+def per_point_combination(matrices, resolution, maxiter=2000):
     """find_stable_combination as one abscissa call per grid point: the
     scan-then-Nelder-Mead reference the stacked scan must reproduce."""
     stacked = np.stack(matrices)
@@ -94,7 +94,7 @@ def per_point_combination(matrices, resolution):
 
     res = scipy.optimize.minimize(
         objective, best_alpha + 1e-3, method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
+        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": maxiter})
     if np.isfinite(res.fun) and res.fun < best_val:
         z = np.abs(res.x)
         best_alpha, best_val = z / z.sum(), float(res.fun)
@@ -123,6 +123,10 @@ class TestStackedScan:
         alpha, val, evaluations = per_point_combination(matrices, resolution)
         assert np.array_equal(result.weights.alpha, alpha)
         assert result.abscissa == val
+        if result.refinement["status"] == "cycle":
+            # a refinement that stops on a cycle counts what it took so far
+            evaluations = per_point_combination(
+                matrices, resolution, result.refinement["iterations"])[2]
         assert result.evaluations == evaluations
 
 
@@ -181,18 +185,7 @@ class TestNelderMead:
     @settings(max_examples=40, deadline=None)
     @given(families())
     def test_equals_scipy(self, family):
-        matrices, resolution = family
-        result = find_stable_combination(matrices, resolution=resolution)
-        alpha, val, evaluations, res, _ = scipy_refinement(matrices,
-                                                           resolution)
-        grid_size = len(synthesis._simplex_grid(
-            len(matrices), synthesis._grid_steps(len(matrices), resolution)))
-        assert np.array_equal(result.weights.alpha, alpha)
-        assert result.abscissa == val
-        assert result.evaluations == evaluations == grid_size + res.nfev
-        assert result.refinement == {
-            "status": {0: "converged", 2: "maxiter"}[res.status],
-            "iterations": res.nit}
+        assert_equals_scipy(*family)
 
     def test_single_matrix_not_refined(self):
         result = find_stable_combination([-np.eye(2)])
@@ -251,37 +244,62 @@ def design_family(seed):
 
 
 def assert_equals_scipy(matrices, resolution, maxiter=2000):
+    """The refinement equals scipy's run to maxiter; one that stops on a
+    cycle at iteration r equals scipy's run to r in every count, and its
+    weights and abscissa equal those of scipy's run to maxiter."""
     result = find_stable_combination(matrices, resolution=resolution)
+    refinement = result.refinement
+    cycled = refinement["status"] == "cycle"
+    stop = refinement["iterations"] if cycled else maxiter
     alpha, val, evaluations, res, _ = scipy_refinement(matrices, resolution,
-                                                       maxiter)
+                                                       stop)
+    grid_size = len(synthesis._simplex_grid(
+        len(matrices), synthesis._grid_steps(len(matrices), resolution)))
     assert np.array_equal(result.weights.alpha, alpha)
     assert result.abscissa == val
-    assert result.evaluations == evaluations
-    assert result.refinement == {
-        "status": {0: "converged", 2: "maxiter"}[res.status],
+    assert result.evaluations == evaluations == grid_size + res.nfev
+    assert refinement == {
+        "status": "cycle" if cycled else {0: "converged",
+                                          2: "maxiter"}[res.status],
         "iterations": res.nit}
+    if cycled:
+        assert res.status == 2
+        alpha, val = scipy_refinement(matrices, resolution, maxiter)[:2]
+        assert np.array_equal(result.weights.alpha, alpha)
+        assert result.abscissa == val
     return result
 
 
-# At resolution 0.05 these design families stop at maxiter.  All but 49
-# reach a sorted state that repeats bit for bit; 18 first visits the state
-# of iteration 290 again at iteration 296 (period 6).
-MAXITER_SEEDS = [3, 7, 18, 43, 49, 65, 100]
+# At resolution 0.05 these design families do not converge by iteration
+# 2000.  All but 49 reach a sorted state that repeats bit for bit, where
+# the refinement stops; 18 first visits the state of iteration 290 again at
+# iteration 296 (period 6).
+MAXITER_STOPS = {3: ("cycle", 571), 7: ("cycle", 396), 18: ("cycle", 296),
+                 43: ("cycle", 366), 49: ("maxiter", 2000),
+                 65: ("cycle", 696), 100: ("cycle", 261)}
 CYCLE_SEED, CYCLE_START, CYCLE_PERIOD = 18, 290, 6
 
 
 class TestFastForward:
-    @pytest.mark.parametrize("seed", MAXITER_SEEDS)
+    """A cycling refinement skips to its result at maxiter: it stops at
+    the first repeated state."""
+
+    @pytest.mark.parametrize("seed", MAXITER_STOPS)
     def test_maxiter_equals_scipy(self, seed):
         result = assert_equals_scipy(design_family(seed), 0.05)
-        assert result.refinement == {"status": "maxiter", "iterations": 2000}
+        status, iterations = MAXITER_STOPS[seed]
+        assert result.refinement == {"status": status,
+                                     "iterations": iterations}
 
     @pytest.mark.parametrize("maxiter", [
         *range(CYCLE_START, CYCLE_START + 3 * CYCLE_PERIOD + 1), 331, 997])
     def test_every_maxiter_around_the_cycle(self, monkeypatch, maxiter):
         monkeypatch.setattr(synthesis, "_MAXITER", maxiter)
         result = assert_equals_scipy(design_family(CYCLE_SEED), 0.05, maxiter)
-        assert result.refinement["iterations"] == maxiter
+        stop = CYCLE_START + CYCLE_PERIOD
+        assert result.refinement == {
+            "status": "maxiter" if maxiter < stop else "cycle",
+            "iterations": min(maxiter, stop)}
 
     def test_cycle_is_not_replayed(self, monkeypatch):
         evaluate = synthesis._abscissae
@@ -295,7 +313,8 @@ class TestFastForward:
         monkeypatch.setattr(synthesis, "_abscissae", counting)
         result = find_stable_combination(design_family(CYCLE_SEED), 0.05)
         # one call per iteration, and one per shrink, up to the repeat
-        assert result.refinement["iterations"] == 2000
+        assert result.refinement == {"status": "cycle",
+                                     "iterations": CYCLE_START + CYCLE_PERIOD}
         assert calls < 2 * (CYCLE_START + CYCLE_PERIOD)
 
 
