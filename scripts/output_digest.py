@@ -8,12 +8,12 @@ perfbench/workloads.py, run as is: its generator writes the seeded inputs
 and its own operation calls `swstab.cli.main`, the command line that users
 run, in a temporary directory.  After each of the first COUNT operations
 the digest takes the name and the bytes of every file in the operation's
-output directory, in name order.  With --list, one line per file,
-"<op> <file> <sha256>", comes before the digest, so that two versions can
-be diffed file by file.
+output directory, in name order.  One line per file, "<op> <file>
+<sha256>", comes before the digest, so that two versions can be diffed
+file by file; the digest is the last line.
 
 Usage: PYTHONPATH=src python scripts/output_digest.py --workload design
-           [--seed S] [--count K] [--list]
+           [--seed S] [--count K]
 """
 
 import argparse
@@ -60,16 +60,12 @@ def main(argv=None) -> None:
     ap.add_argument("--count", type=int,
                     help="operations to digest, at most the workload's pool "
                          "(default: the whole pool)")
-    ap.add_argument("--list", action="store_true",
-                    help="print each file's operation, name and SHA-256 "
-                         "before the digest")
     args = ap.parse_args(argv)
     pool = PERFBENCH["WORKLOADS"][args.workload].pool
     count = pool if args.count is None else args.count
     combined, files = digest(args.workload, args.seed, count)
-    if args.list:
-        for op, name, sha in files:
-            print(op, name, sha)
+    for op, name, sha in files:
+        print(op, name, sha)
     print(combined)
 
 

@@ -96,6 +96,8 @@ def _parse_tols(items) -> dict:
             raise ValueError(f"unknown --tol name {name!r}; "
                              f"known: {', '.join(_TOLERANCE_NAMES)}")
         tol = float(value)
+        # one rule for every name, before any work; check_eta_search repeats
+        # it for refine_tol because library callers of max_stable_eta need it
         if not (math.isfinite(tol) and tol > 0.0):
             raise ValueError(f"--tol {name} must be finite and > 0, got {tol}")
         tols[name] = tol

@@ -239,8 +239,9 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
     abscissa is nonsmooth, so no gradients are used.  The refinement's
     status ("converged", "maxiter" or "cycle") and iteration count are
     reported.  A single matrix is a one-point grid with no refinement.  The
-    weights carry period 1.  A resolution that is not finite and positive, or whose grid would exceed
-    MAX_GRID_ENTRIES weights, raises ValueError before any work.
+    weights carry period 1.  A resolution that is not finite and positive,
+    or whose grid would exceed MAX_GRID_ENTRIES weights, raises ValueError
+    before any work.
     """
     m = len(matrices)
     if m == 0:

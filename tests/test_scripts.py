@@ -51,27 +51,19 @@ def test_run_example2(tmp_path):
 
 
 def test_output_digest():
-    for workload in ("design", "normmin-dense"):
-        digests = []
+    for workload, name in (("design", "combination.json"),
+                           ("normmin-dense", "normmin.json")):
+        outputs = []
         for _ in range(2):
             proc = run_script("output_digest.py", "--workload", workload,
                               "--seed", 1, "--count", 2)
             assert proc.returncode == 0, proc.stderr
-            digests.append(proc.stdout.strip())
-        assert re.fullmatch(r"[0-9a-f]{64}", digests[0]), workload
-        assert digests[0] == digests[1], workload
-
-
-def test_output_digest_list():
-    proc = run_script("output_digest.py", "--workload", "design",
-                      "--seed", 1, "--count", 2, "--list")
-    assert proc.returncode == 0, proc.stderr
-    *lines, combined = proc.stdout.splitlines()
-    plain = run_script("output_digest.py", "--workload", "design",
-                       "--seed", 1, "--count", 2)
-    assert combined == plain.stdout.strip()
-    rows = [line.split(" ") for line in lines]
-    assert [op for op, _, _ in rows] == sorted(op for op, _, _ in rows)
-    assert {op for op, _, _ in rows} == {"0", "1"}
-    assert all(re.fullmatch(r"[0-9a-f]{64}", sha) for _, _, sha in rows)
-    assert "combination.json" in {name for _, name, _ in rows}
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], workload
+        *lines, combined = outputs[0].splitlines()
+        assert re.fullmatch(r"[0-9a-f]{64}", combined), workload
+        rows = [line.split(" ") for line in lines]
+        assert [op for op, _, _ in rows] == sorted(op for op, _, _ in rows)
+        assert {op for op, _, _ in rows} == {"0", "1"}, workload
+        assert all(re.fullmatch(r"[0-9a-f]{64}", sha) for _, _, sha in rows)
+        assert name in {file for _, file, _ in rows}, workload

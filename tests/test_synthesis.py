@@ -281,8 +281,8 @@ CYCLE_SEED, CYCLE_START, CYCLE_PERIOD = 18, 290, 6
 
 
 class TestFastForward:
-    """A cycling refinement skips to its result at maxiter: it stops at
-    the first repeated state."""
+    """A refinement whose sorted state repeats stops there, with status
+    "cycle"."""
 
     @pytest.mark.parametrize("seed", MAXITER_STOPS)
     def test_maxiter_equals_scipy(self, seed):
