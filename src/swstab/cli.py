@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import json
 import math
 import sys as _sys
@@ -28,15 +27,12 @@ from .model import (DEFAULT_EQUILIBRIUM_TOL, SwitchedSystem,
 from .signals import (NormMinPolicy, PeriodicSignal, activation_fractions,
                       example_signal, load_signal, scale, signal_to_dict)
 from .stability import DEFAULT_K_LIST, is_ici_stable, lemma4_bound_holds
-from .simulate import (DivergenceError, NoAttractingCycleError,
-                       DegenerateCycleError, limit_cycle, simulate,
-                       simulate_norm_min, write_table)
+from .simulate import (MAX_STEPS, DivergenceError, NoAttractingCycleError,
+                       DegenerateCycleError, check_simulation, limit_cycle,
+                       simulate, simulate_norm_min, write_table)
 from .synthesis import (DEFAULT_REFINE_TOL, _fitting_resolution,
                         check_eta_search, find_stable_combination,
                         max_stable_eta)
-
-# the simulate module: the package namespace binds "simulate" to the function
-_simulation = importlib.import_module(".simulate", __package__)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -126,9 +122,9 @@ def _initial_conditions(config: RunConfig, n: int) -> list[np.ndarray]:
         if n < 2:
             raise ValueError("--circle needs state dimension >= 2")
         # each initial condition costs at least one step
-        if config.circle > _simulation.MAX_STEPS:
+        if config.circle > MAX_STEPS:
             raise ValueError(f"--circle {config.circle} exceeds MAX_STEPS = "
-                             f"{_simulation.MAX_STEPS} initial conditions")
+                             f"{MAX_STEPS} initial conditions")
         for j in range(config.circle):
             theta = 2.0 * math.pi * j / config.circle
             p = np.zeros(n)
@@ -256,7 +252,9 @@ def _cmd_example(config: RunConfig, out: Path) -> int:
     sys_, sig = _load_inputs(config)
     if config.circle is None and not config.x0:
         config.circle = 8
-    _initial_conditions(config, sys_.n)     # refused before any output
+    # refused before any output
+    _initial_conditions(config, sys_.n)
+    check_simulation(config.t_end, config.sample_dt, sig)
     _write_json(out / "system.json", system_to_dict(sys_))
     _write_json(out / "signal.json", signal_to_dict(sig))
     status = _cmd_analyze(config, out)

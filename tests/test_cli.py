@@ -1,4 +1,3 @@
-import importlib
 import inspect
 import io
 import json
@@ -17,7 +16,6 @@ from swstab.synthesis import DEFAULT_REFINE_TOL, max_stable_eta
 from swstab.signals import load_signal, example_signal
 from swstab import presets
 
-simulate_module = importlib.import_module("swstab.simulate")
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -340,7 +338,7 @@ class TestSimulate:
                                                monkeypatch, example1_files,
                                                command):
         # patched small, so the refusal is checked with an 11-point circle
-        monkeypatch.setattr(simulate_module, "MAX_STEPS", 10)
+        monkeypatch.setattr(cli, "MAX_STEPS", 10)
         sys_path, sig_path = example1_files
         out = tmp_path / "out"
         signal = ["--signal", sig_path] if command == "simulate" else []
@@ -491,6 +489,20 @@ class TestExample:
         assert code == cli.EXIT_INVALID
         err = capsys.readouterr().err
         assert "not finite" in err and err.count("\n") == 1
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("options", [
+        ["--eta", "1", "--dt", "nan"],
+        ["--eta", "1", "--t-end", "inf"],
+        ["--eta", "1e-300", "--t-end", "1"],      # segment crossings
+    ])
+    def test_bad_simulation_refused_before_output(self, tmp_path, capsys,
+                                                  options):
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run_cli(["example", "1", *options, "--out", out])
+        assert code == cli.EXIT_INVALID
+        assert capsys.readouterr().err.count("\n") == 1
         assert not list(out.iterdir())
 
     def test_outputs_deterministic(self, tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from swstab.model import SubSystem, SwitchedSystem, Weights, average_system
 from swstab.signals import (NormMinPolicy, PeriodicSignal, Segment,
                             example_signal, shift)
-from swstab.simulate import (CSV_BLOCK_ROWS, DIVERGENCE_GUARD,
+from swstab.simulate import (CSV_BLOCK_ROWS, DIVERGENCE_GUARD, GUARD_ROWS,
                              DivergenceError, NoAttractingCycleError,
                              Trajectory, limit_cycle, poincare_map,
                              segment_map, simulate, simulate_norm_min)
@@ -66,6 +66,18 @@ def assert_same_trajectory(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape
         np.testing.assert_array_equal(a, b)
+
+
+def assert_same_escape(sys_, x0, t_end, h):
+    """simulate_norm_min and the reference loop diverge at the same time
+    with the same trajectory; returns simulate_norm_min's error."""
+    with pytest.raises(DivergenceError) as got:
+        simulate_norm_min(sys_, x0, t_end, NormMinPolicy(h))
+    with pytest.raises(DivergenceError) as want:
+        norm_min_reference(sys_, x0, t_end, h)
+    assert got.value.time == want.value.time
+    assert_same_trajectory(got.value.trajectory, want.value.trajectory)
+    return got.value
 
 
 class TestSegmentStep:
@@ -412,6 +424,51 @@ class TestNormMin:
             norm_min_reference(sys_, x0, 40.0, h)
         assert got.value.time == want.value.time
         assert_same_trajectory(got.value.trajectory, want.value.trajectory)
+
+    # escapes on the last and first rows of a guard block (256, 257), and
+    # on the final step; at h = 0.1, 300 * h differs from 299 * h + h
+    @pytest.mark.parametrize("escape, t_end", [
+        (GUARD_ROWS, 60.0), (GUARD_ROWS + 1, 60.0), (300, 30.0)])
+    def test_block_guard_escape_row(self, escape, t_end):
+        # from (1, 0) the norm is e^{a h k}: 1e12 is crossed half a step
+        # before state `escape`, so the guard trips there and not sooner
+        h = 0.1
+        a = np.log(DIVERGENCE_GUARD) / ((escape - 0.5) * h)
+        sys_ = SwitchedSystem((SubSystem(a * np.eye(2), np.zeros(2)),))
+        exc = assert_same_escape(sys_, np.array([1.0, 0.0]), t_end, h)
+        assert len(exc.trajectory.times) == escape
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_block_guard_nan_escape(self):
+        # x1 drifts up by h under subsystem 1, selected while x1 <= 0; at
+        # state 100 subsystem 2, whose step map overflowed, is selected and
+        # state 101 is NaN, with every earlier norm far below the guard
+        sys_ = SwitchedSystem((
+            SubSystem(np.zeros((2, 2)), np.array([1.0, 0.0])),
+            SubSystem(np.diag([0.0, 8000.0]), np.zeros(2))))
+        exc = assert_same_escape(sys_, np.array([-9.95, 0.0]), 60.0, 0.1)
+        assert exc.trajectory.active[-1] == 2
+        assert len(exc.trajectory.times) == 101
+        assert np.abs(exc.trajectory.states).max() < 10.0
+
+    # x1 steps up by 1 from x0 over 300 steps; every state lies inside the
+    # block test's margin, so each block is walked with the exact formula
+    @pytest.mark.parametrize("x0, escape", [
+        (DIVERGENCE_GUARD - 310.0, None),     # up to 1e12 - 10: no escape
+        (DIVERGENCE_GUARD - 99.5, 100),       # state 100 is 1e12 + 0.5
+    ])
+    def test_block_guard_margin(self, x0, escape):
+        assert x0 ** 2 >= simulate_module._GUARD_CLEAR
+        sys_ = SwitchedSystem((SubSystem(np.zeros((1, 1)), np.ones(1)),))
+        if escape is None:
+            got = simulate_norm_min(sys_, np.array([x0]), 300.0,
+                                    NormMinPolicy(1.0))
+            assert_same_trajectory(
+                got, norm_min_reference(sys_, np.array([x0]), 300.0, 1.0))
+            assert got.states[-1, 0] == DIVERGENCE_GUARD - 10.0
+        else:
+            exc = assert_same_escape(sys_, np.array([x0]), 300.0, 1.0)
+            assert len(exc.trajectory.times) == escape
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_state_diverges(self):
