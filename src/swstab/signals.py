@@ -37,6 +37,10 @@ class PeriodicSignal:
                 raise ValueError(f"segment {k}: subsystem index must be >= 1, got {idx}")
             if not (dur > 0.0 and np.isfinite(dur)):
                 raise ValueError(f"segment {k}: duration must be positive, got {dur}")
+        period = sum(d for _, d in segs)
+        if not np.isfinite(period):
+            raise ValueError(f"the durations sum to a period of {period}; "
+                             "the period must be finite")
         object.__setattr__(self, "segments", segs)
 
     @property

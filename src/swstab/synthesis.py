@@ -62,11 +62,6 @@ MAX_GRID_ENTRIES = 12_500_000
 DEFAULT_REFINE_TOL = 1e-3
 # Nelder-Mead stopping rule: simplex spread in x and in value, iterations.
 _XATOL, _FATOL, _MAXITER = 1e-10, 1e-12, 2000
-# An iteration's trial points are c * centroid - d * worst vertex, in the
-# rows: reflection, expansion, outside and inside contraction
-# (coefficients rho = 1, chi = 2, psi = 1/2).
-_TRIAL_C = np.array([[2.0], [3.0], [1.5], [0.5]])
-_TRIAL_D = np.array([[1.0], [2.0], [0.5], [-0.5]])
 
 
 def _grid_entries(m: int, steps: int) -> int:
@@ -130,10 +125,11 @@ def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray):
     scipy.optimize's non-adaptive Nelder-Mead (scipy 1.17), operation for
     operation: the same initial simplex, centroid, trial points, shrink,
     np.argsort ordering and stopping rule, so every bit of the result
-    matches.  An iteration evaluates its four trial points, and a shrink its
-    N new vertices, in one _abscissae call each.  Only the points the
-    sequential method evaluates are counted, and only when sum|z| > 0 (else
-    their value is +inf); an unused trial point never raises.
+    matches.  Points are evaluated one at a time, in scipy's order: each
+    initial vertex, the reflection, then only the expansion or the one
+    contraction its branch needs, and each shrink vertex.  Every point with
+    sum|z| > 0 is one _abscissae call and one evaluation; a point with
+    sum|z| = 0 has value +inf and is not counted.
 
     Where the stopping rule cannot fire, the sorted simplex and its values
     often come to repeat bit for bit: at a coalescing eigenvalue the
@@ -149,32 +145,14 @@ def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray):
     N = len(x0)
     evaluations = 0
 
-    def block(points: np.ndarray):
-        """Getter of each row's value, as the sequential method takes it.
-
-        The rows are evaluated together.  If that fails (weights not finite
-        where sum|z| is 0 or |z| overflowed, or no eigenvalue convergence),
-        each row is evaluated alone when taken, so only a point the
-        sequential method evaluates can raise.
-        """
-        az = np.abs(points)
-        s = az.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = az / s[:, None]
-        try:
-            vals = _abscissae(w, flat, n)
-        except linalg.NumericalError:
-            vals = None
-
-        def take(k: int) -> float:
-            nonlocal evaluations
-            if s[k] <= 0.0:
-                return np.inf
-            evaluations += 1
-            if vals is None:
-                return float(_abscissae(w[k][None], flat, n)[0])
-            return float(vals[k])
-        return take
+    def f(z: np.ndarray) -> float:
+        nonlocal evaluations
+        az = np.abs(z)
+        s = az.sum()
+        if s <= 0.0:
+            return np.inf
+        evaluations += 1
+        return float(_abscissae((az / s)[None], flat, n)[0])
 
     sim = np.empty((N + 1, N))
     sim[0] = x0
@@ -182,8 +160,7 @@ def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray):
         y = x0.copy()
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
         sim[k + 1] = y
-    take = block(sim)
-    fsim = np.array([take(k) for k in range(N + 1)])
+    fsim = np.array([f(v) for v in sim])
     order = np.argsort(fsim)
     sim, fsim = sim[order], fsim[order]
 
@@ -195,26 +172,29 @@ def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray):
             status = "converged"
             break
         xbar = np.add.reduce(sim[:-1], 0) / N    # rows summed in order, as scipy
-        trials = _TRIAL_C * xbar - _TRIAL_D * sim[-1]
-        take = block(trials)
-        fxr, shrink = take(0), False
+        # reflection, expansion and contractions: rho = 1, chi = 2, psi = 1/2
+        xr = 2.0 * xbar - sim[-1]
+        fxr = f(xr)
+        x, fx, shrink = xr, fxr, False
         if fxr < fsim[0]:
-            fxe = take(1)
-            k, f = (1, fxe) if fxe < fxr else (0, fxr)
-        elif fxr < fsim[-2]:
-            k, f = 0, fxr
-        elif fxr < fsim[-1]:
-            k, f = 2, take(2)
-            shrink = f > fxr
-        else:
-            k, f = 3, take(3)
-            shrink = f >= fsim[-1]
+            xe = 3.0 * xbar - 2.0 * sim[-1]
+            fxe = f(xe)
+            if fxe < fxr:
+                x, fx = xe, fxe
+        elif fxr >= fsim[-2]:       # values are never NaN: spectrum raises
+            if fxr < fsim[-1]:
+                x = 1.5 * xbar - 0.5 * sim[-1]
+                fx = f(x)
+                shrink = fx > fxr
+            else:
+                x = 0.5 * xbar + 0.5 * sim[-1]
+                fx = f(x)
+                shrink = fx >= fsim[-1]
         if shrink:
             sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
-            take = block(sim[1:])
-            fsim[1:] = [take(j) for j in range(N)]
+            fsim[1:] = [f(v) for v in sim[1:]]
         else:
-            sim[-1], fsim[-1] = trials[k], f
+            sim[-1], fsim[-1] = x, fx
         iterations += 1
         order = np.argsort(fsim)
         sim, fsim = sim[order], fsim[order]
@@ -233,10 +213,10 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
     Coarse grid scan at the given resolution, in stacked eigenvalue calls,
     then a derivative-free refinement from the best grid point: the
     in-house Nelder-Mead of _nelder_mead, which reproduces scipy's result
-    bit for bit and evaluates each iteration's trial points in one block.
-    A refinement whose simplex comes back to an earlier state stops there;
-    evaluations counts the grid and every point the refinement takes.  The
-    abscissa is nonsmooth, so no gradients are used.  The refinement's
+    bit for bit and evaluates one point at a time, as scipy does.  A
+    refinement whose simplex comes back to an earlier state stops there;
+    evaluations counts the grid and every point the refinement evaluates.
+    The abscissa is nonsmooth, so no gradients are used.  The refinement's
     status ("converged", "maxiter" or "cycle") and iteration count are
     reported.  A single matrix is a one-point grid with no refinement.  The
     weights carry period 1.  A resolution that is not finite and positive,

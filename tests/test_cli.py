@@ -55,6 +55,24 @@ def test_overflowing_monodromy_is_numerical_failure(tmp_path, capsys, command):
     assert "numerical failure: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "cycle", "simulate"])
+def test_overflowing_period_is_invalid(tmp_path, capsys, command):
+    # each dwell 1e308 is finite, the period 2e308 is not; simulate's
+    # t_end lies inside the first segment
+    sys_path, sig_path = write_specs(
+        tmp_path, [[[-1, 1], [0, -2]], [[-3, 2], [0, -1]]], [1.0, 1.0])
+    spec = json.loads(sig_path.read_text())
+    sig_path.write_text(json.dumps({**spec, "eta": 1e308}))
+    out = tmp_path / "out"
+    run = (["--x0", "1,0", "--t-end", "1", "--dt", "0.5"]
+           if command == "simulate" else [])
+    code = run_cli([command, "--system", sys_path, "--signal", sig_path,
+                    *run, "--out", out])
+    assert code == cli.EXIT_INVALID
+    assert "period of inf" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
 class TestAnalyze:
     def test_stable_report(self, tmp_path, example1_files):
         sys_path, sig_path = example1_files

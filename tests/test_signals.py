@@ -30,6 +30,9 @@ class TestConstruction:
             PeriodicSignal((Segment(0, 1.0),))
         with pytest.raises(ValueError):
             PeriodicSignal((Segment(1, 0.0),))
+        # every duration is finite, their sum is not
+        with pytest.raises(ValueError, match="period of inf"):
+            PeriodicSignal((Segment(1, 1e308), Segment(2, 1e308)))
 
     def test_policy_validation(self):
         NormMinPolicy(1e-3)

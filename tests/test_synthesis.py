@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swstab import presets, synthesis
-from swstab.linalg import NumericalError, spectral_abscissa
+from swstab.linalg import spectral_abscissa
 from swstab.model import Weights
 from swstab.signals import activation_fractions, from_weights
 from swstab.stability import is_ici_stable
@@ -130,36 +130,56 @@ class TestStackedScan:
         assert result.evaluations == evaluations
 
 
+def scipy_nelder_mead(flat, n, x0, maxiter=2000):
+    """scipy's Nelder-Mead from x0 on the one-row objective that
+    _nelder_mead evaluates.  Returns scipy's result and the weight rows the
+    objective evaluated, in order: one per counted evaluation."""
+    rows = []
+
+    def objective(z):
+        az = np.abs(z)
+        s = az.sum()
+        if s <= 0.0:
+            return np.inf
+        rows.append((az / s).tobytes())
+        return float(synthesis._abscissae((az / s)[None], flat, n)[0])
+
+    res = scipy.optimize.minimize(
+        objective, x0, method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": maxiter})
+    return res, rows
+
+
 def scipy_refinement(matrices, resolution, maxiter=2000):
     """The grid scan, then scipy's Nelder-Mead on the one-row objective:
     the oracle the in-house loop must reproduce.  Returns the weights, the
     abscissa, the counted evaluations, scipy's result and the weight rows
-    the sequential method evaluated."""
+    its objective evaluated, in order."""
     m, n = len(matrices), len(matrices[0])
     flat = np.stack(matrices).reshape(m, n * n)
     grid = synthesis._simplex_grid(m, synthesis._grid_steps(m, resolution))
     vals = synthesis._abscissae(grid, flat, n)
     best = int(np.argmin(vals))
     best_alpha, best_val = grid[best], float(vals[best])
-    evaluations, rows = len(grid), [row.tobytes() for row in grid]
-
-    def objective(z):
-        nonlocal evaluations
-        az = np.abs(z)
-        s = az.sum()
-        if s <= 0.0:
-            return np.inf
-        evaluations += 1
-        rows.append((az / s).tobytes())
-        return float(synthesis._abscissae((az / s)[None], flat, n)[0])
-
-    res = scipy.optimize.minimize(
-        objective, best_alpha + 1e-3, method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": maxiter})
+    res, rows = scipy_nelder_mead(flat, n, best_alpha + 1e-3, maxiter)
     if np.isfinite(res.fun) and res.fun < best_val:
         z = np.abs(res.x)
         best_alpha, best_val = z / z.sum(), float(res.fun)
-    return best_alpha, best_val, evaluations, res, set(rows)
+    return best_alpha, best_val, len(grid) + len(rows), res, rows
+
+
+def evaluated_rows(call):
+    """call(), with synthesis._abscissae recording the rows of every call:
+    returns call's result and one list of row bytes per call."""
+    evaluate, calls = synthesis._abscissae, []
+
+    def recording(alphas, flat, n):
+        calls.append([row.tobytes() for row in alphas])
+        return evaluate(alphas, flat, n)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synthesis, "_abscissae", recording)
+        return call(), calls
 
 
 @st.composite
@@ -197,39 +217,26 @@ class TestNelderMead:
         result = find_stable_combination([presets.A1, presets.A2], 0.1)
         assert result.refinement == {"status": "maxiter", "iterations": 5}
 
-    @pytest.mark.parametrize("poison", ["raise", "nan"])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_unused_trial_points_ignored(self, monkeypatch, poison, seed):
-        # the evaluator fails on every point the sequential method would
-        # not evaluate; the block evaluation must not notice
-        rng = np.random.default_rng(seed)
-        m = 2 + seed % 3
-        if seed == 3:       # all ties
-            matrices = [rng.normal(size=(3, 3))] * m
-        else:
-            matrices = list(rng.normal(size=(m, 3, 3)))
-        want = find_stable_combination(matrices, resolution=0.1)
-        used = scipy_refinement(matrices, 0.1)[4]
-        evaluate = synthesis._abscissae
-        poisoned = 0
-
-        def picky(alphas, flat, n):
-            nonlocal poisoned
-            bad = np.array([row.tobytes() not in used for row in alphas])
-            poisoned += int(bad.sum())
-            if bad.any() and poison == "raise":
-                raise NumericalError("unused point evaluated")
-            vals = evaluate(alphas, flat, n)
-            vals[bad] = np.nan
-            return vals
-
-        monkeypatch.setattr(synthesis, "_abscissae", picky)
-        got = find_stable_combination(matrices, resolution=0.1)
-        assert poisoned > 0
-        assert np.array_equal(got.weights.alpha, want.weights.alpha)
-        assert got.abscissa == want.abscissa
-        assert got.evaluations == want.evaluations
-        assert got.refinement == want.refinement
+    # three families drawn in turn from default_rng(4), (m, n) = (2, 2),
+    # (3, 3) and (4, 2); from 0 they converge at these iterations
+    @pytest.mark.parametrize("k, iterations", enumerate([79, 194, 274]))
+    def test_zero_start_equals_scipy(self, k, iterations):
+        # x0 = 0 has sum|z| = 0: its value is +inf, and only scipy's nfev
+        # counts it
+        rng = np.random.default_rng(4)
+        mats = [rng.normal(size=(m, n, n))
+                for m, n in [(2, 2), (3, 3), (4, 2)]][k]
+        m, n = mats.shape[:2]
+        flat = mats.reshape(m, n * n)
+        x, value, nit, status, evaluations = synthesis._nelder_mead(
+            flat, n, np.zeros(m))
+        res, rows = scipy_nelder_mead(flat, n, np.zeros(m))
+        assert np.array_equal(x, res.x)
+        assert value == res.fun
+        assert (nit, status) == (res.nit, {0: "converged",
+                                            2: "maxiter"}[res.status])
+        assert nit == iterations
+        assert evaluations == len(rows) == res.nfev - 1
 
 
 def design_family(seed):
@@ -244,17 +251,24 @@ def design_family(seed):
 
 
 def assert_equals_scipy(matrices, resolution, maxiter=2000):
-    """The refinement equals scipy's run to maxiter; one that stops on a
+    """The refinement equals scipy's run to maxiter, and evaluates the same
+    points in the same order, one per _abscissae call; one that stops on a
     cycle at iteration r equals scipy's run to r in every count, and its
     weights and abscissa equal those of scipy's run to maxiter."""
-    result = find_stable_combination(matrices, resolution=resolution)
+    result, calls = evaluated_rows(
+        lambda: find_stable_combination(matrices, resolution=resolution))
     refinement = result.refinement
     cycled = refinement["status"] == "cycle"
     stop = refinement["iterations"] if cycled else maxiter
-    alpha, val, evaluations, res, _ = scipy_refinement(matrices, resolution,
-                                                       stop)
+    alpha, val, evaluations, res, rows = scipy_refinement(matrices,
+                                                          resolution, stop)
     grid_size = len(synthesis._simplex_grid(
         len(matrices), synthesis._grid_steps(len(matrices), resolution)))
+    # the scan's blocks, then one call per point the refinement evaluates,
+    # in the order scipy's objective evaluates them
+    scan = -(-grid_size // synthesis._SCAN_BLOCK)
+    assert sum(map(len, calls[:scan])) == grid_size
+    assert calls[scan:] == [[row] for row in rows]
     assert np.array_equal(result.weights.alpha, alpha)
     assert result.abscissa == val
     assert result.evaluations == evaluations == grid_size + res.nfev
@@ -301,21 +315,16 @@ class TestFastForward:
             "status": "maxiter" if maxiter < stop else "cycle",
             "iterations": min(maxiter, stop)}
 
-    def test_cycle_is_not_replayed(self, monkeypatch):
-        evaluate = synthesis._abscissae
-        calls = 0
-
-        def counting(alphas, flat, n):
-            nonlocal calls
-            calls += 1
-            return evaluate(alphas, flat, n)
-
-        monkeypatch.setattr(synthesis, "_abscissae", counting)
-        result = find_stable_combination(design_family(CYCLE_SEED), 0.05)
-        # one call per iteration, and one per shrink, up to the repeat
+    def test_cycle_is_not_replayed(self):
+        result, calls = evaluated_rows(
+            lambda: find_stable_combination(design_family(CYCLE_SEED), 0.05))
         assert result.refinement == {"status": "cycle",
                                      "iterations": CYCLE_START + CYCLE_PERIOD}
-        assert calls < 2 * (CYCLE_START + CYCLE_PERIOD)
+        # one scan block, then one call per counted point up to the repeat
+        grid_size = len(synthesis._simplex_grid(3, 20))
+        assert len(calls[0]) == grid_size
+        assert len(calls) - 1 == result.evaluations - grid_size
+        assert all(len(rows) == 1 for rows in calls[1:])
 
 
 class TestResolution:
