@@ -30,9 +30,9 @@ from .stability import DEFAULT_K_LIST, is_ici_stable, lemma4_bound_holds
 from .simulate import (MAX_STEPS, DivergenceError, NoAttractingCycleError,
                        DegenerateCycleError, check_simulation, limit_cycle,
                        simulate, simulate_norm_min, write_table)
-from .synthesis import (DEFAULT_REFINE_TOL, _fitting_resolution,
-                        check_eta_search, find_stable_combination,
-                        max_stable_eta)
+from .synthesis import (DEFAULT_GRID_POINTS, DEFAULT_REFINE_TOL,
+                        _fitting_resolution, check_eta_search,
+                        find_stable_combination, max_stable_eta)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -59,7 +59,7 @@ class RunConfig:
     x0: list = field(default_factory=list)
     resolution: float = 0.01
     eta_max: Optional[float] = None
-    grid_points: int = 50
+    grid_points: int = DEFAULT_GRID_POINTS
     k_list: list = field(default_factory=lambda: list(DEFAULT_K_LIST))
     tolerances: dict = field(default_factory=dict)
 

@@ -76,6 +76,13 @@ class SwitchedSystem:
     def n(self) -> int:
         return self.subsystems[0].n
 
+    def subsystem(self, index: int) -> SubSystem:
+        """The subsystem that a signal's 1-based index names."""
+        if not 1 <= index <= self.m:
+            raise IndexError(
+                f"signal references subsystem {index}, system has {self.m}")
+        return self.subsystems[index - 1]
+
     def linear_part(self) -> "SwitchedSystem":
         """The same system with every affine drift zeroed."""
         return SwitchedSystem(tuple(
@@ -134,9 +141,9 @@ def common_equilibrium(sys: SwitchedSystem,
                        tol: float = DEFAULT_EQUILIBRIUM_TOL) -> Optional[np.ndarray]:
     """Shared equilibrium of all subsystems, or None if they disagree.
 
-    Agreement is pairwise in the infinity norm; the returned point is the
-    mean of the per-subsystem equilibria.  A negative, infinite or NaN tol
-    raises ValueError.
+    Each equilibrium must lie within tol of the first one in the infinity
+    norm; the returned point is the mean of the per-subsystem equilibria.
+    A negative, infinite or NaN tol raises ValueError.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")

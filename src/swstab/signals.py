@@ -4,7 +4,7 @@ activation fractions, and the sampled norm-minimising policy descriptor."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -27,6 +27,7 @@ class PeriodicSignal:
     """
 
     segments: tuple[Segment, ...]
+    period: float = field(init=False, compare=False)   # sum of durations
 
     def __post_init__(self):
         segs = tuple(Segment(int(i), float(d)) for i, d in self.segments)
@@ -42,10 +43,7 @@ class PeriodicSignal:
             raise ValueError(f"the durations sum to a period of {period}; "
                              "the period must be finite")
         object.__setattr__(self, "segments", segs)
-
-    @property
-    def period(self) -> float:
-        return float(sum(d for _, d in self.segments))
+        object.__setattr__(self, "period", period)
 
     @property
     def max_index(self) -> int:

@@ -142,20 +142,12 @@ def segment_map(sub: SubSystem, tau: float) -> AffineMap:
     return AffineMap(E[:n, :n], E[:n, n])
 
 
-def check_indices(sys: SwitchedSystem, sig: PeriodicSignal) -> None:
-    """Raise IndexError if the signal names a subsystem the system lacks."""
-    if sig.max_index > sys.m:
-        raise IndexError(
-            f"signal references subsystem {sig.max_index}, system has {sys.m}")
-
-
 def poincare_map(sys: SwitchedSystem, sig: PeriodicSignal) -> AffineMap:
     """One-period map x(T) = M x(0) + v, composed segment by segment."""
-    check_indices(sys, sig)
     M = np.eye(sys.n)
     v = np.zeros(sys.n)
     for idx, dur in sig.segments:
-        step = segment_map(sys.subsystems[idx - 1], dur)
+        step = segment_map(sys.subsystem(idx), dur)
         M = step.M.dot(M)
         v = step.M.dot(v) + step.v
     return AffineMap(M, v)
@@ -199,7 +191,6 @@ def simulate(sys: SwitchedSystem, sig: PeriodicSignal, x0: np.ndarray,
     MAX_STEPS samples plus segment crossings raises ValueError up front.
     """
     check_simulation(t_end, sample_dt, sig)
-    check_indices(sys, sig)
 
     n_samples = int(np.floor(t_end / sample_dt + 1e-9))
     sample_times = [k * sample_dt for k in range(1, n_samples + 1)]
@@ -207,7 +198,7 @@ def simulate(sys: SwitchedSystem, sig: PeriodicSignal, x0: np.ndarray,
         sample_times.append(t_end)
 
     # segment boundaries and full-segment maps, repeated over periods
-    full_maps = [segment_map(sys.subsystems[idx - 1], dur)
+    full_maps = [segment_map(sys.subsystem(idx), dur)
                  for idx, dur in sig.segments]
     durations = [dur for _, dur in sig.segments]
     partial_cache: dict[tuple[int, float], AffineMap] = {}
@@ -233,7 +224,7 @@ def simulate(sys: SwitchedSystem, sig: PeriodicSignal, x0: np.ndarray,
             key = (seg_pos, round(tau, 12))
             step = partial_cache.get(key)
             if step is None:
-                step = segment_map(sys.subsystems[idx - 1], tau)
+                step = segment_map(sys.subsystem(idx), tau)
                 partial_cache[key] = step
             x_s = step(x)
         else:

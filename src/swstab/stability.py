@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg
 from .model import SwitchedSystem, Weights, average_system
 from .signals import PeriodicSignal, from_weights
-from .simulate import check_indices, poincare_map
+from .simulate import poincare_map
 
 DEFAULT_K_LIST = tuple(2 ** i for i in range(11))
 
@@ -30,7 +30,6 @@ class StabilityReport:
     ``norm_condition_holds`` is the conservative ||Phi|| < 1 certificate.
     """
 
-    monodromy: np.ndarray
     spectral_radius: float
     determinant: float
     det_oracle: float
@@ -65,9 +64,8 @@ def det_monodromy_oracle(sys: SwitchedSystem, sig: PeriodicSignal) -> float:
 
     det(prod e^{tau_k A_k}) = exp(sum_k tau_k tr(A_k)); inf on overflow.
     """
-    check_indices(sys, sig)
     try:
-        return math.exp(sum(dur * np.trace(sys.subsystems[idx - 1].A)
+        return math.exp(sum(dur * np.trace(sys.subsystem(idx).A)
                             for idx, dur in sig.segments))
     except OverflowError:
         return math.inf
@@ -79,7 +77,6 @@ def is_ici_stable(sys: SwitchedSystem, sig: PeriodicSignal,
     Phi = monodromy(sys, sig)
     rho = linalg.spectral_radius(Phi)
     return StabilityReport(
-        monodromy=Phi,
         spectral_radius=rho,
         determinant=float(np.linalg.det(Phi)),
         det_oracle=det_monodromy_oracle(sys, sig),

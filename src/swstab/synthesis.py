@@ -58,8 +58,9 @@ class EtaSearchResult:
 _SCAN_BLOCK = 256
 # Most simplex-grid entries (points x weights) a scan may hold: 100 MB.
 MAX_GRID_ENTRIES = 12_500_000
-# Bisection tolerance on eta of max_stable_eta.
+# Bisection tolerance on eta and eta grid size of max_stable_eta.
 DEFAULT_REFINE_TOL = 1e-3
+DEFAULT_GRID_POINTS = 50
 # Nelder-Mead stopping rule: simplex spread in x and in value, iterations.
 _XATOL, _FATOL, _MAXITER = 1e-10, 1e-12, 2000
 
@@ -278,15 +279,18 @@ def check_eta_search(eta_max: Optional[float], grid_points: int,
 
 def max_stable_eta(sys: SwitchedSystem, w: Weights,
                    eta_max: Optional[float] = None,
-                   grid_points: int = 50,
+                   grid_points: int = DEFAULT_GRID_POINTS,
                    refine_tol: float = DEFAULT_REFINE_TOL) -> EtaSearchResult:
     """Supremum of the stable dwell-scale interval anchored at eta -> 0.
 
     Scans rho(Phi(eta)) on a uniform grid up to eta_max; eta_star is located
     by bisection between the last stable and first unstable grid points.
     rho need not be monotone in eta, so stable islands beyond the first
-    instability show up in the grid but never extend eta_star.  The
-    bisection also ends when no float lies strictly between its bounds.
+    instability show up in the grid but never extend eta_star.  An eta
+    whose monodromy overflows is unstable, with rho recorded as inf.  The
+    bisection runs until its bracket is at most refine_tol wide and it has
+    found a stable eta, so eta_star > 0; it also ends when no float lies
+    strictly between its bounds.
     Options that check_eta_search refuses raise ValueError before any work.
     """
     check_eta_search(eta_max, grid_points, refine_tol)
@@ -297,7 +301,9 @@ def max_stable_eta(sys: SwitchedSystem, w: Weights,
         eta_max = default_eta_max(sys, w)
 
     def rho(eta: float) -> float:
-        return linalg.spectral_radius(monodromy(sys, from_weights(w, eta)))
+        with np.errstate(over="ignore", invalid="ignore"):   # inf on overflow
+            Phi = monodromy(sys, from_weights(w, eta))
+        return linalg.spectral_radius(Phi) if np.isfinite(Phi).all() else math.inf
 
     etas = np.linspace(eta_max / grid_points, eta_max, grid_points)
     grid = tuple((float(e), rho(float(e))) for e in etas)
@@ -308,7 +314,7 @@ def max_stable_eta(sys: SwitchedSystem, w: Weights,
 
     lo = 0.0 if first_unstable == 0 else grid[first_unstable - 1][0]
     hi = grid[first_unstable][0]
-    while hi - lo > refine_tol:
+    while hi - lo > refine_tol or lo == 0.0:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:       # no float left between: tol too fine
             break

@@ -12,9 +12,11 @@ import pytest
 
 from swstab import cli, synthesis
 from swstab.model import DEFAULT_EQUILIBRIUM_TOL, load_system, system_to_dict
-from swstab.synthesis import DEFAULT_REFINE_TOL, max_stable_eta
+from swstab.synthesis import (DEFAULT_GRID_POINTS, DEFAULT_REFINE_TOL,
+                              max_stable_eta)
 from swstab.signals import load_signal, example_signal
 from swstab import presets
+from conftest import expm_radius, shear_pair
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -70,6 +72,21 @@ def test_overflowing_period_is_invalid(tmp_path, capsys, command):
                     *run, "--out", out])
     assert code == cli.EXIT_INVALID
     assert "period of inf" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["analyze", "cycle", "simulate"])
+def test_signal_index_beyond_system_is_invalid(tmp_path, capsys, command):
+    sys_path, sig_path = write_specs(
+        tmp_path, [[[-1, 1], [0, -2]], [[-3, 2], [0, -1]]], [1.0, 1.0, 1.0])
+    out = tmp_path / "out"
+    run = (["--x0", "1,0", "--t-end", "1", "--dt", "0.5"]
+           if command == "simulate" else [])
+    code = run_cli([command, "--system", sys_path, "--signal", sig_path,
+                    *run, "--out", out])
+    assert code == cli.EXIT_INVALID
+    assert capsys.readouterr().err == (
+        "error: signal references subsystem 3, system has 2\n")
     assert not out.exists() or not list(out.iterdir())
 
 
@@ -269,8 +286,10 @@ class TestSynthesize:
                  "--out", tmp_path])
         assert seen == {"tol": DEFAULT_EQUILIBRIUM_TOL,
                         "refine_tol": DEFAULT_REFINE_TOL}
-        assert inspect.signature(max_stable_eta).parameters[
-            "refine_tol"].default == DEFAULT_REFINE_TOL
+        defaults = inspect.signature(max_stable_eta).parameters
+        assert defaults["refine_tol"].default == DEFAULT_REFINE_TOL
+        assert (defaults["grid_points"].default == cli.RunConfig.grid_points
+                == DEFAULT_GRID_POINTS)
 
     def test_default_resolution_fits_the_grid(self, tmp_path, monkeypatch):
         # room for 10 divisions of 5 weights, not 11: the default 0.01 is
@@ -300,6 +319,22 @@ class TestSynthesize:
         for name in ("combination.json", "analysis.json"):
             report = json.loads((tmp_path / name).read_text())
             assert report["config"]["resolution"] == cli.RunConfig.resolution
+
+    def test_overflowing_eta_grid_is_not_stable(self, tmp_path):
+        # the default eta_max reaches eta where the monodromy overflows
+        mats = shear_pair(300.0)
+        sys_path, _ = write_specs(tmp_path, [A.tolist() for A in mats], [1.0])
+        out = tmp_path / "out"
+        code = run_cli(["synthesize", "--system", sys_path, "--out", out])
+        assert code == cli.EXIT_OK
+        comb = json.loads((out / "combination.json").read_text())
+        search = json.loads((out / "eta_search.json").read_text())
+        assert any(row["spectral_radius"] == math.inf
+                   for row in search["grid"])
+        assert ",inf\n" in (out / "eta_grid.csv").read_text()
+        eta = search["eta_star"]
+        assert eta > 0.0
+        assert expm_radius(mats, comb["alpha"], comb["period"], eta) < 1.0
 
     def test_infeasible_returns_unstable(self, tmp_path):
         sys_path = tmp_path / "s.json"

@@ -20,6 +20,16 @@ class TestTypes:
             SwitchedSystem((SubSystem(np.eye(2), np.zeros(2)),
                             SubSystem(np.eye(3), np.zeros(3))))
 
+    def test_subsystem_by_signal_index(self):
+        subs = (SubSystem(np.eye(2), np.zeros(2)),
+                SubSystem(-np.eye(2), np.ones(2)))
+        sys_ = SwitchedSystem(subs)
+        assert sys_.subsystem(1) is subs[0] and sys_.subsystem(2) is subs[1]
+        for index in (0, 3):
+            with pytest.raises(IndexError, match=f"subsystem {index}, "
+                                                 "system has 2"):
+                sys_.subsystem(index)
+
     def test_weights_validation(self):
         Weights(np.array([0.5, 0.5]), 2.0)
         with pytest.raises(ValueError):

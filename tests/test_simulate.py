@@ -125,6 +125,12 @@ class TestSimulate:
                         t_end=60.0, sample_dt=0.1)
         assert np.linalg.norm(traj.states[-1] - [0.0, -1.0]) < 1e-3
 
+    def test_index_out_of_range_refused_up_front(self, example1):
+        # t_end ends inside the first segment, before subsystem 3 is due
+        sig = PeriodicSignal((Segment(1, 1.0), Segment(3, 1.0)))
+        with pytest.raises(IndexError, match="subsystem 3, system has 2"):
+            simulate(example1, sig, np.zeros(2), t_end=0.5, sample_dt=0.25)
+
     def test_active_indices_recorded(self, example1):
         traj = simulate(example1, example_signal(1.0), np.zeros(2),
                         t_end=8.0, sample_dt=0.5)

@@ -69,8 +69,10 @@ class TestMonodromy:
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_index_out_of_range(self, example1):
-        with pytest.raises(IndexError):
-            monodromy(example1, PeriodicSignal((Segment(3, 1.0),)))
+        sig = PeriodicSignal((Segment(1, 1.0), Segment(3, 1.0)))
+        for f in (monodromy, det_monodromy_oracle):
+            with pytest.raises(IndexError, match="subsystem 3, system has 2"):
+                f(example1, sig)
 
 
 class TestStabilityReport:

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from swstab import presets, synthesis
 from swstab.linalg import spectral_abscissa
-from swstab.model import Weights
+from swstab.model import SubSystem, SwitchedSystem, Weights
 from swstab.signals import activation_fractions, from_weights
 from swstab.stability import is_ici_stable
 from swstab.synthesis import (MAX_GRID_ENTRIES, default_eta_max,
                               find_stable_combination, max_stable_eta)
-from conftest import random_stable_pair
+from conftest import expm_radius, random_stable_pair, shear_pair
 
 
 class TestFindStableCombination:
@@ -364,8 +364,15 @@ class TestResolution:
                 synthesis._grid_steps(m, 1.0 / (steps + 1))
 
 
+def shear_system(K):
+    """shear_pair(K) as a linear switched system, and its matrices."""
+    mats = shear_pair(K)
+    return SwitchedSystem(tuple(SubSystem(A, np.zeros(2)) for A in mats)), mats
+
+
 class TestMaxStableEta:
     HALF4 = Weights(np.array([0.5, 0.5]), 4.0)
+    HALF1 = Weights(np.array([0.5, 0.5]), 1.0)
 
     def test_benchmark_exceeds_figure_value(self, example1):
         result = max_stable_eta(example1, self.HALF4, eta_max=5.0,
@@ -421,6 +428,26 @@ class TestMaxStableEta:
     def test_bad_option_refused(self, example1, option):
         with pytest.raises(ValueError, match=next(iter(option))):
             max_stable_eta(example1, self.HALF4, **option)
+
+    def test_overflowing_monodromy_is_unstable(self):
+        # the default grid runs into eta where Phi overflows; those points
+        # are unstable, recorded as inf, instead of failing the search
+        sys_, mats = shear_system(300.0)
+        result = max_stable_eta(sys_, self.HALF1)
+        radii = [r for _, r in result.grid]
+        assert np.isinf(radii).any() and not np.isnan(radii).any()
+        assert result.eta_star > 0.0
+        assert expm_radius(mats, self.HALF1.alpha, 1.0, result.eta_star) < 1.0
+
+    @pytest.mark.parametrize("eta_max", [0.02, 0.025, 0.03])
+    def test_unstable_first_grid_point_finds_stable_eta(self, eta_max):
+        # rho > 1 already at eta_max / 50; the bracket (0, eta_max / 50] is
+        # narrower than refine_tol, yet the bisection goes on to a stable eta
+        sys_, mats = shear_system(30000.0)
+        result = max_stable_eta(sys_, self.HALF1, eta_max=eta_max)
+        assert result.grid[0][1] >= 1.0 and not result.stable_prefix
+        assert result.eta_star > 0.0
+        assert expm_radius(mats, self.HALF1.alpha, 1.0, result.eta_star) < 1.0
 
     def test_tolerance_below_float_spacing_ends(self, example1):
         # the bisection stops once no float lies between its bounds
