@@ -31,8 +31,9 @@ from .simulate import (MAX_STEPS, DivergenceError, NoAttractingCycleError,
                        DegenerateCycleError, check_simulation, limit_cycle,
                        simulate, simulate_norm_min, write_table)
 from .synthesis import (DEFAULT_GRID_POINTS, DEFAULT_REFINE_TOL,
-                        _fitting_resolution, check_eta_search,
-                        find_stable_combination, max_stable_eta)
+                        DEFAULT_RESOLUTION, check_eta_search,
+                        default_resolution, find_stable_combination,
+                        max_stable_eta)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -57,7 +58,7 @@ class RunConfig:
     output_dir: str = "."
     circle: Optional[int] = None
     x0: list = field(default_factory=list)
-    resolution: float = 0.01
+    resolution: float = DEFAULT_RESOLUTION
     eta_max: Optional[float] = None
     grid_points: int = DEFAULT_GRID_POINTS
     k_list: list = field(default_factory=lambda: list(DEFAULT_K_LIST))
@@ -67,8 +68,19 @@ class RunConfig:
         return {k: v for k, v in self.__dict__.items()}
 
 
+def _strict(value):
+    """value with every non-finite float replaced by None, JSON null."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # RFC 8259 has no inf or nan; allow_nan=False makes a miss an error
+    path.write_text(json.dumps(_strict(payload), indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
 
 
 def _report(config: RunConfig, body: dict) -> dict:
@@ -172,11 +184,10 @@ def _run_trajectories(config: RunConfig, out: Path, n: int, propagate,
 
 
 # -- subcommand bodies --------------------------------------------------------
+# each takes the inputs that run loaded: the SwitchedSystem, and the
+# PeriodicSignal when the command offers --signal or is example, else None
 
-def _cmd_analyze(config: RunConfig, out: Path) -> int:
-    sys_, sig = _load_inputs(config)
-    if sig is None:
-        raise ValueError("analyze needs a switching signal (--signal)")
+def _cmd_analyze(config: RunConfig, out: Path, sys_, sig) -> int:
     report = is_ici_stable(sys_, sig, eta=config.eta)
     body = report.to_dict()
     w = activation_fractions(sig, sys_.m)
@@ -193,11 +204,10 @@ def _cmd_analyze(config: RunConfig, out: Path) -> int:
     return EXIT_OK if report.is_stable else EXIT_UNSTABLE
 
 
-def _cmd_synthesize(config: RunConfig, out: Path) -> int:
-    sys_, _ = _load_inputs(config)
+def _cmd_synthesize(config: RunConfig, out: Path, sys_, sig) -> int:
     if config.resolution is None:
         # no --resolution: the default, coarsened until the grid fits
-        config.resolution = _fitting_resolution(sys_.m, RunConfig.resolution)
+        config.resolution = default_resolution(sys_.m)
     comb = find_stable_combination(
         [sub.A for sub in sys_.subsystems], resolution=config.resolution)
     _write_json(out / "combination.json", _report(config, comb.to_dict()))
@@ -213,20 +223,14 @@ def _cmd_synthesize(config: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(config: RunConfig, out: Path) -> int:
-    sys_, sig = _load_inputs(config)
-    if sig is None:
-        raise ValueError("simulate needs a switching signal (--signal)")
+def _cmd_simulate(config: RunConfig, out: Path, sys_, sig) -> int:
     return _run_trajectories(
         config, out, sys_.n,
         lambda p: simulate(sys_, sig, p, config.t_end, config.sample_dt),
         "simulate.json")
 
 
-def _cmd_cycle(config: RunConfig, out: Path) -> int:
-    sys_, sig = _load_inputs(config)
-    if sig is None:
-        raise ValueError("cycle needs a switching signal (--signal)")
+def _cmd_cycle(config: RunConfig, out: Path, sys_, sig) -> int:
     try:
         cyc = limit_cycle(sys_, sig)
     except (NoAttractingCycleError, DegenerateCycleError) as exc:
@@ -239,8 +243,7 @@ def _cmd_cycle(config: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_normmin(config: RunConfig, out: Path) -> int:
-    sys_, _ = _load_inputs(config)
+def _cmd_normmin(config: RunConfig, out: Path, sys_, sig) -> int:
     policy = NormMinPolicy(config.sample_dt)
     return _run_trajectories(
         config, out, sys_.n,
@@ -248,8 +251,7 @@ def _cmd_normmin(config: RunConfig, out: Path) -> int:
         "normmin.json")
 
 
-def _cmd_example(config: RunConfig, out: Path) -> int:
-    sys_, sig = _load_inputs(config)
+def _cmd_example(config: RunConfig, out: Path, sys_, sig) -> int:
     if config.circle is None and not config.x0:
         config.circle = 8
     # refused before any output
@@ -257,83 +259,79 @@ def _cmd_example(config: RunConfig, out: Path) -> int:
     check_simulation(config.t_end, config.sample_dt, sig)
     _write_json(out / "system.json", system_to_dict(sys_))
     _write_json(out / "signal.json", signal_to_dict(sig))
-    status = _cmd_analyze(config, out)
-    sim_status = _cmd_simulate(config, out)
+    steps = [_cmd_analyze, _cmd_simulate]
     if config.example == 2:
-        cyc_status = _cmd_cycle(config, out)
-        return max(status, sim_status, cyc_status)
-    return max(status, sim_status)
+        steps.append(_cmd_cycle)
+    return max(step(config, out, sys_, sig) for step in steps)
 
 
-# -- argument parsing ---------------------------------------------------------
+# -- the command table --------------------------------------------------------
+
+# add_argument arguments of every option, each dest a RunConfig field
+_OPTIONS = {
+    "example": dict(type=int, choices=(1, 2)),
+    "--system": dict(dest="system_path", metavar="SYSTEM",
+                     help="system JSON file"),
+    "--signal": dict(dest="signal_path", metavar="SIGNAL",
+                     help="signal JSON file"),
+    "--eta": dict(type=float, help="time-scale applied to the signal"),
+    "--out": dict(dest="output_dir", metavar="OUT", help="output directory"),
+    "--tol": dict(action="append", dest="tolerances", metavar="NAME=VALUE",
+                  help="tolerance override (repeatable)"),
+    "--t-end": dict(type=float),
+    "--dt": dict(type=float, dest="sample_dt", metavar="DT",
+                 help="sample step (policy step for normmin)"),
+    "--x0": dict(action="append", metavar="CSV",
+                 help="initial condition, e.g. 1,0 or --x0=-0.3,0.7 "
+                      "(repeatable)"),
+    "--circle": dict(type=int, help="K initial points on the unit circle"),
+    "--resolution": dict(type=float),
+    "--eta-max": dict(type=float),
+    "--grid-points": dict(type=int),
+    "--k-list": dict(help="comma-separated k grid for the dwell bound"),
+}
+
+# command -> (body, help, the options its run reads, in help order)
+_COMMANDS = {
+    "analyze": (_cmd_analyze, "stability report for system + signal",
+                ("--system", "--signal", "--eta", "--out", "--tol",
+                 "--k-list")),
+    "synthesize": (_cmd_synthesize,
+                   "find a stable combination and the max dwell scale",
+                   ("--system", "--out", "--tol", "--resolution", "--eta-max",
+                    "--grid-points")),
+    "simulate": (_cmd_simulate, "exact trajectories under a signal",
+                 ("--system", "--signal", "--eta", "--out", "--t-end", "--dt",
+                  "--x0", "--circle")),
+    "cycle": (_cmd_cycle, "limit cycle of the one-period map",
+              ("--system", "--signal", "--eta", "--out")),
+    "normmin": (_cmd_normmin, "norm-minimising closed-loop simulation",
+                ("--system", "--out", "--t-end", "--dt", "--x0", "--circle")),
+    "example": (_cmd_example, "write a bundled example and analyse it",
+                ("example", "--out", "--tol", "--t-end", "--dt", "--x0",
+                 "--circle", "--eta", "--k-list")),
+}
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process.
+    """The command-line parser, built once per process from _COMMANDS.
 
     Reuse is safe: every option defaults to SUPPRESS, so each parse starts
     from an empty namespace and an appended option never carries over.
+    Options left out stay off the namespace, so RunConfig supplies every
+    default.
     """
     parser = argparse.ArgumentParser(
         prog="swstab",
         description="Stabilising switching signals for switched affine systems")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    # each dest is a RunConfig field; options left out stay off the
-    # namespace, so RunConfig supplies every default
-    add_parser = functools.partial(sub.add_parser,
-                                   argument_default=argparse.SUPPRESS)
-
-    def add_common(p, signal=False, sim=False, synth=False):
-        p.add_argument("--system", dest="system_path", metavar="SYSTEM",
-                       help="system JSON file")
-        if signal:
-            p.add_argument("--signal", dest="signal_path", metavar="SIGNAL",
-                           help="signal JSON file")
-            p.add_argument("--eta", type=float,
-                           help="time-scale applied to the signal")
-        p.add_argument("--out", dest="output_dir", metavar="OUT",
-                       help="output directory")
-        p.add_argument("--tol", action="append", dest="tolerances",
-                       metavar="NAME=VALUE",
-                       help="tolerance override (repeatable)")
-        if sim:
-            p.add_argument("--t-end", type=float)
-            p.add_argument("--dt", type=float, dest="sample_dt", metavar="DT",
-                           help="sample step (policy step for normmin)")
-            p.add_argument("--x0", action="append", metavar="CSV",
-                           help="initial condition, e.g. 1,0 or --x0=-0.3,0.7 "
-                                "(repeatable)")
-            p.add_argument("--circle", type=int,
-                           help="K initial points on the unit circle")
-        if synth:
-            p.add_argument("--resolution", type=float)
-            p.add_argument("--eta-max", type=float)
-            p.add_argument("--grid-points", type=int)
-
-    p = add_parser("analyze", help="stability report for system + signal")
-    add_common(p, signal=True)
-    p.add_argument("--k-list", help="comma-separated k grid for the dwell bound")
-
-    p = add_parser("synthesize",
-                   help="find a stable combination and the max dwell scale")
-    add_common(p, synth=True)
-
-    p = add_parser("simulate", help="exact trajectories under a signal")
-    add_common(p, signal=True, sim=True)
-
-    p = add_parser("cycle", help="limit cycle of the one-period map")
-    add_common(p, signal=True)
-
-    p = add_parser("normmin", help="norm-minimising closed-loop simulation")
-    add_common(p, sim=True)
-
-    p = add_parser("example", help="write a bundled example and analyse it")
-    p.add_argument("example", type=int, choices=(1, 2))
-    add_common(p, signal=False, sim=True)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--k-list", help="comma-separated k grid for the dwell bound")
-
+    for command, (_, text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text,
+                           argument_default=argparse.SUPPRESS)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
@@ -352,20 +350,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-_DISPATCH = {
-    "analyze": _cmd_analyze,
-    "synthesize": _cmd_synthesize,
-    "simulate": _cmd_simulate,
-    "cycle": _cmd_cycle,
-    "normmin": _cmd_normmin,
-    "example": _cmd_example,
-}
-
-
 def run(config: RunConfig) -> int:
+    body, _, options = _COMMANDS[config.command]
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _DISPATCH[config.command](config, out)
+    sys_, sig = _load_inputs(config)
+    if sig is None and "--signal" in options:
+        raise ValueError(f"{config.command} needs a switching signal (--signal)")
+    return body(config, out, sys_, sig)
 
 
 def _join_x0(argv) -> list[str]:
@@ -381,23 +373,15 @@ def _join_x0(argv) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(
+        args = build_parser().parse_args(
             _join_x0(_sys.argv[1:] if argv is None else argv))
+        return run(config_from_args(args))
     except SystemExit as exc:       # argparse exits 2 on a usage error
         if exc.code == 0:           # --help, --version
             raise
         return EXIT_INVALID
-    try:
-        config = config_from_args(args)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_INVALID
-    try:
-        return run(config)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError,
-            IndexError) as exc:
+    except (ValueError, KeyError, OSError, IndexError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INVALID
     except LinalgError as exc:

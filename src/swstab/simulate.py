@@ -146,10 +146,12 @@ def poincare_map(sys: SwitchedSystem, sig: PeriodicSignal) -> AffineMap:
     """One-period map x(T) = M x(0) + v, composed segment by segment."""
     M = np.eye(sys.n)
     v = np.zeros(sys.n)
-    for idx, dur in sig.segments:
-        step = segment_map(sys.subsystem(idx), dur)
-        M = step.M.dot(M)
-        v = step.M.dot(v) + step.v
+    # an overflow leaves inf or nan, without a warning; callers check for it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, dur in sig.segments:
+            step = segment_map(sys.subsystem(idx), dur)
+            M = step.M.dot(M)
+            v = step.M.dot(v) + step.v
     return AffineMap(M, v)
 
 

@@ -2,8 +2,8 @@
 
 Contains the one-period state-transition (monodromy) matrix, the spectral
 radius stability test, the closed-form determinant oracle, the truncated
-commutator correction of the log-monodromy, the conservative dwell-scale
-bound, and the measured deviation of the monodromy from the average system.
+commutator correction of the log-monodromy, a dwell-scale heuristic built
+on it, and the measured deviation of the monodromy from the average system.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def bch_c2(sys: SwitchedSystem, w: Weights) -> np.ndarray:
 
 def lemma4_bound_holds(sys: SwitchedSystem, w: Weights, eta: float,
                        k_list: Sequence[int] = DEFAULT_K_LIST) -> bool:
-    """Conservative sufficient condition for stability at dwell scale eta.
+    """Dwell-scale heuristic for stability at dwell scale eta.
 
     With s = eta*T and C the second-order commutator correction, checks
 
@@ -119,7 +119,10 @@ def lemma4_bound_holds(sys: SwitchedSystem, w: Weights, eta: float,
 
     for every k in k_list.  The commutator side shrinks quadratically in s,
     the average side only linearly, so the bound always holds for small eta
-    when the average matrix is stable.
+    when the average matrix is stable.  It truncates the log-monodromy at
+    second order, so it is not a sufficient condition: a True next to
+    rho(Phi) >= 1 happens (A_1 = [[0.725, -1.649], [-1.749, -2.043]],
+    A_2 = [[-3.461, 1.526], [1.98, 0.955]], each held for 1.5: rho = 1.277).
     """
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")

@@ -58,6 +58,8 @@ class EtaSearchResult:
 _SCAN_BLOCK = 256
 # Most simplex-grid entries (points x weights) a scan may hold: 100 MB.
 MAX_GRID_ENTRIES = 12_500_000
+# Simplex-grid spacing when none is given; default_resolution coarsens it.
+DEFAULT_RESOLUTION = 0.01
 # Bisection tolerance on eta and eta grid size of max_stable_eta.
 DEFAULT_REFINE_TOL = 1e-3
 DEFAULT_GRID_POINTS = 50
@@ -70,11 +72,12 @@ def _grid_entries(m: int, steps: int) -> int:
     return math.comb(steps + m - 1, m - 1) * m
 
 
-def _fitting_resolution(m: int, resolution: float) -> float:
-    """resolution, or else the finest coarser 1/steps whose grid fits."""
-    steps = round(1.0 / resolution)
+def default_resolution(m: int) -> float:
+    """DEFAULT_RESOLUTION, or else the finest coarser 1/steps whose grid of
+    m weights fits MAX_GRID_ENTRIES."""
+    steps = round(1.0 / DEFAULT_RESOLUTION)
     if _grid_entries(m, steps) <= MAX_GRID_ENTRIES:
-        return resolution
+        return DEFAULT_RESOLUTION
     while steps > 1 and _grid_entries(m, steps) > MAX_GRID_ENTRIES:
         steps -= 1
     return 1.0 / steps
@@ -208,7 +211,8 @@ def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray):
 
 
 def find_stable_combination(matrices: Sequence[np.ndarray],
-                            resolution: float = 0.05) -> CombinationResult:
+                            resolution: Optional[float] = None
+                            ) -> CombinationResult:
     """Minimise the spectral abscissa of sum_i alpha_i A_i over the simplex.
 
     Coarse grid scan at the given resolution, in stacked eigenvalue calls,
@@ -220,13 +224,15 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
     The abscissa is nonsmooth, so no gradients are used.  The refinement's
     status ("converged", "maxiter" or "cycle") and iteration count are
     reported.  A single matrix is a one-point grid with no refinement.  The
-    weights carry period 1.  A resolution that is not finite and positive,
-    or whose grid would exceed MAX_GRID_ENTRIES weights, raises ValueError
-    before any work.
+    weights carry period 1.  No resolution means default_resolution(m).  A
+    resolution that is not finite and positive, or whose grid would exceed
+    MAX_GRID_ENTRIES weights, raises ValueError before any work.
     """
     m = len(matrices)
     if m == 0:
         raise ValueError("need at least one matrix")
+    if resolution is None:
+        resolution = default_resolution(m)
     steps = _grid_steps(m, resolution)
     mats = [linalg.as_square(M) for M in matrices]
     n = mats[0].shape[0]
@@ -301,8 +307,7 @@ def max_stable_eta(sys: SwitchedSystem, w: Weights,
         eta_max = default_eta_max(sys, w)
 
     def rho(eta: float) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):   # inf on overflow
-            Phi = monodromy(sys, from_weights(w, eta))
+        Phi = monodromy(sys, from_weights(w, eta))
         return linalg.spectral_radius(Phi) if np.isfinite(Phi).all() else math.inf
 
     etas = np.linspace(eta_max / grid_points, eta_max, grid_points)

@@ -36,6 +36,13 @@ def example1_files(tmp_path):
     return sys_path, sig_path
 
 
+def strict_json(path):
+    """A report parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
 def write_specs(tmp_path, matrices, durations):
     """System of linear subsystems and a signal cycling them in order."""
     sys_path = tmp_path / "s.json"
@@ -88,6 +95,29 @@ def test_signal_index_beyond_system_is_invalid(tmp_path, capsys, command):
     assert capsys.readouterr().err == (
         "error: signal references subsystem 3, system has 2\n")
     assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "cycle"])
+def test_missing_signal_is_invalid(tmp_path, capsys, example1_files, command):
+    sys_path, _ = example1_files
+    out = tmp_path / "out"
+    x0 = ["--x0", "1,0"] if command == "simulate" else []
+    code = run_cli([command, "--system", sys_path, *x0, "--out", out])
+    assert code == cli.EXIT_INVALID
+    assert capsys.readouterr().err == (
+        f"error: {command} needs a switching signal (--signal)\n")
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["analyze", "synthesize", "normmin"])
+def test_missing_system_is_invalid(tmp_path, capsys, example1_files, command):
+    _, sig_path = example1_files
+    signal = ["--signal", sig_path] if command == "analyze" else []
+    out = tmp_path / "out"
+    code = run_cli([command, *signal, "--out", out])
+    assert code == cli.EXIT_INVALID
+    assert capsys.readouterr().err == "error: --system is required\n"
+    assert not list(out.iterdir())
 
 
 class TestAnalyze:
@@ -165,6 +195,16 @@ class TestAnalyze:
         assert code == cli.EXIT_OK
         assert json.loads((tmp_path / "analysis.json").read_text())["is_stable"]
 
+    def test_singular_subsystem_has_no_common_equilibrium(self, tmp_path):
+        sys_path, sig_path = write_specs(
+            tmp_path, [[[0, 0], [0, -1]], [[-1, 0], [0, -1]]], [1.0, 1.0])
+        code = run_cli(["analyze", "--system", sys_path, "--signal", sig_path,
+                        "--out", tmp_path])
+        assert code == cli.EXIT_OK
+        report = strict_json(tmp_path / "analysis.json")
+        assert report["common_equilibrium"] is None
+        assert report["is_stable"] is True
+
     def test_overflowing_dwell_bound_is_false(self, tmp_path):
         # the commutator side of the dwell bound overflows to inf
         sys_path, sig_path = write_specs(
@@ -191,13 +231,13 @@ class TestAnalyze:
         assert report["is_stable"] is False
 
     def test_overflowing_det_oracle_is_inf(self, tmp_path):
-        # rho = e^400 is finite, the oracle's e^800 is not
+        # rho = e^400 is finite, the oracle's e^800 is not: null in the JSON
         sys_path, sig_path = write_specs(tmp_path, [[[200, 0], [0, 200]]], [2.0])
         code = run_cli(["analyze", "--system", sys_path, "--signal", sig_path,
                         "--out", tmp_path])
         assert code == cli.EXIT_UNSTABLE
-        report = json.loads((tmp_path / "analysis.json").read_text())
-        assert report["det_oracle"] == math.inf
+        report = strict_json(tmp_path / "analysis.json")
+        assert report["det_oracle"] is None
         assert report["is_stable"] is False
 
 
@@ -321,16 +361,16 @@ class TestSynthesize:
             assert report["config"]["resolution"] == cli.RunConfig.resolution
 
     def test_overflowing_eta_grid_is_not_stable(self, tmp_path):
-        # the default eta_max reaches eta where the monodromy overflows
+        # the default eta_max reaches eta where the monodromy overflows: its
+        # rho is null in the JSON and inf in the CSV
         mats = shear_pair(300.0)
         sys_path, _ = write_specs(tmp_path, [A.tolist() for A in mats], [1.0])
         out = tmp_path / "out"
         code = run_cli(["synthesize", "--system", sys_path, "--out", out])
         assert code == cli.EXIT_OK
-        comb = json.loads((out / "combination.json").read_text())
-        search = json.loads((out / "eta_search.json").read_text())
-        assert any(row["spectral_radius"] == math.inf
-                   for row in search["grid"])
+        comb = strict_json(out / "combination.json")
+        search = strict_json(out / "eta_search.json")
+        assert any(row["spectral_radius"] is None for row in search["grid"])
         assert ",inf\n" in (out / "eta_grid.csv").read_text()
         eta = search["eta_star"]
         assert eta > 0.0
@@ -360,6 +400,18 @@ class TestSimulate:
         assert len(summary["trajectories"]) == 4
         header = (out / "trajectory_00.csv").read_text().split("\n")[0]
         assert header == "t,x1,x2,active"
+
+    def test_last_sample_at_t_end(self, tmp_path, example1_files):
+        # samples at 0.3, 0.6 and 0.9, then t_end itself
+        sys_path, sig_path = example1_files
+        code = run_cli(["simulate", "--system", sys_path, "--signal", sig_path,
+                        "--x0", "1,0", "--t-end", "1", "--dt", "0.3",
+                        "--out", tmp_path])
+        assert code == cli.EXIT_OK
+        rows = (tmp_path / "trajectory_00.csv").read_text().splitlines()
+        assert [float(row.split(",")[0]) for row in rows[1:]] == pytest.approx(
+            [0.0, 0.3, 0.6, 0.9, 1.0])
+        assert rows[-1].startswith("1,")
 
     def test_divergence_reported(self, tmp_path):
         sys_path = tmp_path / "s.json"
@@ -419,6 +471,30 @@ class TestSimulate:
         assert not list(out.iterdir())
 
 
+    @pytest.mark.parametrize("matrices, options, message", [
+        pytest.param([[[-1, 0], [0, -1]]], ["--x0", "1,0,0"],
+                     "has wrong dimension", id="x0-dimension"),
+        pytest.param([[[-1]]], ["--circle", "3"],
+                     "--circle needs state dimension >= 2", id="circle-n1"),
+        pytest.param([[[-1, 0], [0, -1]]], [],
+                     "no initial conditions; pass --x0 or --circle",
+                     id="no-initial-conditions"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "normmin"])
+    def test_bad_initial_conditions_are_invalid(self, tmp_path, capsys,
+                                                command, matrices, options,
+                                                message):
+        sys_path, sig_path = write_specs(tmp_path, matrices, [1.0])
+        signal = ["--signal", sig_path] if command == "simulate" else []
+        out = tmp_path / "out"
+        code = run_cli([command, "--system", sys_path, *signal, *options,
+                        "--t-end", "1", "--dt", "0.5", "--out", out])
+        assert code == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not list(out.iterdir())
+
+
 class TestCycleCommand:
     def test_limit_cycle_outputs(self, tmp_path):
         out = tmp_path / "out"
@@ -447,6 +523,19 @@ class TestCycleCommand:
         cyc = json.loads((tmp_path / "cycle.json").read_text())
         assert cyc["average_equilibrium"] is None
         assert cyc["practical_radius"] is None
+
+
+    def test_no_contraction_reports_error(self, tmp_path):
+        # the signal of TestAnalyze's unstable case, on preset 2
+        sys_path, sig_path = write_specs(tmp_path, [], [2.0, 2.0])
+        sys_path.write_text(json.dumps(system_to_dict(presets.example_2())))
+        out = tmp_path / "out"
+        code = run_cli(["cycle", "--system", sys_path, "--signal", sig_path,
+                        "--eta", "2", "--out", out])
+        assert code == cli.EXIT_UNSTABLE
+        report = strict_json(out / "cycle.json")
+        assert "not a contraction" in report["error"]
+        assert sorted(p.name for p in out.iterdir()) == ["cycle.json"]
 
 
 class TestNormMin:
@@ -593,6 +682,34 @@ class TestFlags:
             run_cli(argv)
         assert exc.value.code == 0
 
+    @pytest.mark.parametrize("command, options", [
+        ("simulate", ["--tol", "common_equilibrium=1e-6"]),
+        ("cycle", ["--tol", "common_equilibrium=1e-6"]),
+        ("normmin", ["--tol", "common_equilibrium=1e-6"]),
+        ("example", ["--system", "s.json"]),
+    ], ids=["simulate-tol", "cycle-tol", "normmin-tol", "example-system"])
+    def test_option_the_run_never_reads_is_usage_error(
+            self, tmp_path, capsys, example1_files, command, options):
+        # each call is valid without the option
+        sys_path, sig_path = example1_files
+        run = ["--x0", "1,0", "--t-end", "1", "--dt", "0.5"]
+        inputs = {"simulate": ["--system", sys_path, "--signal", sig_path, *run],
+                  "cycle": ["--system", sys_path, "--signal", sig_path],
+                  "normmin": ["--system", sys_path, *run],
+                  "example": ["1", *run]}[command]
+        out = tmp_path / "out"
+        code = run_cli([command, *inputs, *options, "--out", out])
+        assert code == cli.EXIT_INVALID
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_module_version(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-m", "swstab", "--version"],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0
+        assert done.stdout == f"{cli.__version__}\n"
+
     def test_tol_parsing(self):
         assert cli._parse_tols(["common_equilibrium=1e-6"]) == {
             "common_equilibrium": 1e-6}
@@ -620,7 +737,7 @@ class TestFlags:
 
 class TestParserReuse:
     ARGV = [
-        ["normmin", "--system", "lin.json", "--x0", "1,0", "--x0", "-0.3,0.7",
+        ["example", "1", "--x0", "1,0", "--x0", "-0.3,0.7",
          "--tol", "common_equilibrium=1e-6", "--tol", "refine_tol=0.01",
          "--t-end", "1", "--dt", "0.01", "--out", "out"],
         ["normmin", "--system", "lin.json", "--circle", "2", "--t-end", "1",

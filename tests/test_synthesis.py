@@ -351,12 +351,18 @@ class TestResolution:
         # a single matrix is a one-point grid, whatever the resolution
         assert find_stable_combination([-np.eye(2)], 1e-300).found
 
+    def test_no_resolution_is_the_default(self):
+        matrices = [presets.A1, presets.A2]
+        assert synthesis.DEFAULT_RESOLUTION == 0.01
+        assert (find_stable_combination(matrices).to_dict()
+                == find_stable_combination(matrices, resolution=0.01).to_dict())
+
     @pytest.mark.parametrize("m, steps", [
         (1, 100), (2, 100), (4, 100), (5, 85), (6, 44), (7, 29), (8, 22)])
     def test_fitting_resolution(self, m, steps):
-        # the CLI default: 0.01 unless the grid is too large, then the
-        # finest 1/steps that fits
-        resolution = synthesis._fitting_resolution(m, 0.01)
+        # the default: 0.01 unless the grid is too large, then the finest
+        # 1/steps that fits
+        resolution = synthesis.default_resolution(m)
         assert resolution == 1.0 / steps
         assert synthesis._grid_steps(m, resolution) == steps
         if steps < 100:
