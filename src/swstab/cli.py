@@ -90,35 +90,24 @@ def _report(config: RunConfig, body: dict) -> dict:
     return out
 
 
-_TOLERANCE_NAMES = ("common_equilibrium", "refine_tol")
-
-
-def _parse_tols(items) -> dict:
+def _parse_tols(items, names) -> dict:
+    # the function that reads a tolerance checks its bound
     tols = {}
-    for item in items or []:
+    for item in items:
         if "=" not in item:
             raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
         name, value = item.split("=", 1)
         name = name.strip()
-        if name not in _TOLERANCE_NAMES:
+        if name not in names:
             raise ValueError(f"unknown --tol name {name!r}; "
-                             f"known: {', '.join(_TOLERANCE_NAMES)}")
-        tol = float(value)
-        # one rule for every name, before any work; check_eta_search repeats
-        # it for refine_tol because library callers of max_stable_eta need it
-        if not (math.isfinite(tol) and tol > 0.0):
-            raise ValueError(f"--tol {name} must be finite and > 0, got {tol}")
-        tols[name] = tol
+                             f"known: {', '.join(names)}")
+        tols[name] = float(value)
     return tols
 
 
-def _parse_k_list(text: Optional[str]) -> list[int]:
-    if text is None:
-        return list(DEFAULT_K_LIST)
-    ks = [int(part) for part in text.split(",") if part.strip()]
-    if not ks or any(k < 1 for k in ks):
-        raise ValueError(f"--k-list must be positive integers, got {text!r}")
-    return ks
+def _parse_k_list(text: str) -> list[int]:
+    # lemma4_bound_holds refuses an empty list or a k below 1
+    return [int(part) for part in text.split(",") if part.strip()]
 
 
 def _initial_conditions(config: RunConfig, n: int) -> list[np.ndarray]:
@@ -257,12 +246,14 @@ def _cmd_example(config: RunConfig, out: Path, sys_, sig) -> int:
     # refused before any output
     _initial_conditions(config, sys_.n)
     check_simulation(config.t_end, config.sample_dt, sig)
-    _write_json(out / "system.json", system_to_dict(sys_))
-    _write_json(out / "signal.json", signal_to_dict(sig))
     steps = [_cmd_analyze, _cmd_simulate]
     if config.example == 2:
         steps.append(_cmd_cycle)
-    return max(step(config, out, sys_, sig) for step in steps)
+    code = max(step(config, out, sys_, sig) for step in steps)
+    # the inputs go last, so a value the analyze step refuses writes nothing
+    _write_json(out / "system.json", system_to_dict(sys_))
+    _write_json(out / "signal.json", signal_to_dict(sig))
+    return code
 
 
 # -- the command table --------------------------------------------------------
@@ -291,25 +282,27 @@ _OPTIONS = {
     "--k-list": dict(help="comma-separated k grid for the dwell bound"),
 }
 
-# command -> (body, help, the options its run reads, in help order)
+# command -> (body, help, the options its run reads, in help order, the
+# --tol names its run reads)
 _COMMANDS = {
     "analyze": (_cmd_analyze, "stability report for system + signal",
                 ("--system", "--signal", "--eta", "--out", "--tol",
-                 "--k-list")),
+                 "--k-list"), ("common_equilibrium",)),
     "synthesize": (_cmd_synthesize,
                    "find a stable combination and the max dwell scale",
                    ("--system", "--out", "--tol", "--resolution", "--eta-max",
-                    "--grid-points")),
+                    "--grid-points"), ("refine_tol",)),
     "simulate": (_cmd_simulate, "exact trajectories under a signal",
                  ("--system", "--signal", "--eta", "--out", "--t-end", "--dt",
-                  "--x0", "--circle")),
+                  "--x0", "--circle"), ()),
     "cycle": (_cmd_cycle, "limit cycle of the one-period map",
-              ("--system", "--signal", "--eta", "--out")),
+              ("--system", "--signal", "--eta", "--out"), ()),
     "normmin": (_cmd_normmin, "norm-minimising closed-loop simulation",
-                ("--system", "--out", "--t-end", "--dt", "--x0", "--circle")),
+                ("--system", "--out", "--t-end", "--dt", "--x0", "--circle"),
+                ()),
     "example": (_cmd_example, "write a bundled example and analyse it",
                 ("example", "--out", "--tol", "--t-end", "--dt", "--x0",
-                 "--circle", "--eta", "--k-list")),
+                 "--circle", "--eta", "--k-list"), ("common_equilibrium",)),
 }
 
 
@@ -327,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stabilising switching signals for switched affine systems")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, text, options) in _COMMANDS.items():
+    for command, (_, text, options, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=text,
                            argument_default=argparse.SUPPRESS)
         for option in options:
@@ -339,10 +332,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     given = dict(vars(args))
     if given["command"] == "synthesize":
         given.setdefault("resolution", None)    # resolved from m on the run
-    given["x0"] = [[float(v) for v in item.split(",")]
-                   for item in given.get("x0", [])]
-    given["k_list"] = _parse_k_list(given.get("k_list"))
-    given["tolerances"] = _parse_tols(given.get("tolerances"))
+    # text to values; an option left out keeps its RunConfig default
+    if "x0" in given:
+        given["x0"] = [[float(v) for v in item.split(",")]
+                       for item in given["x0"]]
+    if "k_list" in given:
+        given["k_list"] = _parse_k_list(given["k_list"])
+    if "tolerances" in given:
+        given["tolerances"] = _parse_tols(given["tolerances"],
+                                          _COMMANDS[given["command"]][3])
     config = RunConfig(**given)
     # refused here, not after synthesize's simplex search has written output
     check_eta_search(config.eta_max, config.grid_points,
@@ -351,7 +349,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def run(config: RunConfig) -> int:
-    body, _, options = _COMMANDS[config.command]
+    body, _, options, _ = _COMMANDS[config.command]
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     sys_, sig = _load_inputs(config)

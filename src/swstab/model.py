@@ -146,7 +146,8 @@ def common_equilibrium(sys: SwitchedSystem,
     A negative, infinite or NaN tol raises ValueError.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+        raise ValueError(
+            f"common_equilibrium tol must be finite and >= 0, got {tol}")
     points = []
     for k, sub in enumerate(sys.subsystems):
         try:

@@ -4,6 +4,7 @@ activation fractions, and the sampled norm-minimising policy descriptor."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -87,12 +88,12 @@ def scale(sig: PeriodicSignal, eta: float) -> PeriodicSignal:
 
 
 def shift(sig: PeriodicSignal, gamma: float) -> PeriodicSignal:
-    """The signal t -> sig(t + gamma), gamma >= 0.
+    """The signal t -> sig(t + gamma), gamma finite and >= 0.
 
     Rotates the segment list and splits the segment containing gamma mod T.
     """
-    if gamma < 0.0:
-        raise ValueError(f"shift must be nonnegative, got {gamma}")
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise ValueError(f"shift must be finite and nonnegative, got {gamma}")
     T = sig.period
     g = gamma % T
     if g == 0.0:
@@ -121,9 +122,9 @@ def permute(sig: PeriodicSignal, perm: Sequence[int]) -> PeriodicSignal:
 
 
 def active_index(sig: PeriodicSignal, t: float) -> int:
-    """Subsystem active at time t >= 0 (right-continuous at switches)."""
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    """Subsystem active at finite t >= 0 (right-continuous at switches)."""
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     r = t % sig.period
     acc = 0.0
     for idx, dur in sig.segments:
@@ -146,9 +147,7 @@ def activation_fractions(sig: PeriodicSignal, m: Optional[int] = None) -> Weight
 
 def example_signal(eta: float) -> PeriodicSignal:
     """Two-subsystem square-wave signal: 1 for 2*eta, then 2 for 2*eta."""
-    if not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    return PeriodicSignal((Segment(1, 2.0 * eta), Segment(2, 2.0 * eta)))
+    return scale(PeriodicSignal((Segment(1, 2.0), Segment(2, 2.0))), eta)
 
 
 # -- JSON signal specification ------------------------------------------------

@@ -29,7 +29,9 @@ GUARD_ROWS = 256
 # margin covers the rounding difference between a row sum and x.dot(x).
 _GUARD_CLEAR = DIVERGENCE_GUARD ** 2 * (1.0 - 1e-9)
 # Most steps one call may take: samples plus segment crossings for
-# simulate, closed-loop steps for simulate_norm_min.
+# simulate, closed-loop steps for simulate_norm_min.  Also the cap on the
+# command line's --circle initial conditions and on max_stable_eta's
+# grid_points.
 MAX_STEPS = 1_000_000
 
 

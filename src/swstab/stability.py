@@ -9,7 +9,7 @@ on it, and the measured deviation of the monodromy from the average system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,15 +39,7 @@ class StabilityReport:
     period: float
 
     def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "period": self.period,
-            "spectral_radius": self.spectral_radius,
-            "determinant": self.determinant,
-            "det_oracle": self.det_oracle,
-            "is_stable": self.is_stable,
-            "norm_condition_holds": self.norm_condition_holds,
-        }
+        return asdict(self)
 
 
 def monodromy(sys: SwitchedSystem, sig: PeriodicSignal) -> np.ndarray:

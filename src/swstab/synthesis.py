@@ -12,6 +12,7 @@ import numpy as np
 from . import linalg
 from .model import SwitchedSystem, Weights, average_system
 from .signals import from_weights
+from .simulate import MAX_STEPS
 from .stability import monodromy
 
 
@@ -76,8 +77,6 @@ def default_resolution(m: int) -> float:
     """DEFAULT_RESOLUTION, or else the finest coarser 1/steps whose grid of
     m weights fits MAX_GRID_ENTRIES."""
     steps = round(1.0 / DEFAULT_RESOLUTION)
-    if _grid_entries(m, steps) <= MAX_GRID_ENTRIES:
-        return DEFAULT_RESOLUTION
     while steps > 1 and _grid_entries(m, steps) > MAX_GRID_ENTRIES:
         steps -= 1
     return 1.0 / steps
@@ -254,7 +253,7 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
             flat, n, best_alpha + 1e-3)
         evaluations += nm_evaluations
         refinement = {"status": status, "iterations": iterations}
-        if np.isfinite(fval) and fval < best_val:
+        if fval < best_val:
             z = np.abs(x)
             best_alpha, best_val = z / z.sum(), float(fval)
 
@@ -277,8 +276,10 @@ def check_eta_search(eta_max: Optional[float], grid_points: int,
     """Refuse max_stable_eta options it cannot work with (ValueError)."""
     if eta_max is not None and not (math.isfinite(eta_max) and eta_max > 0.0):
         raise ValueError(f"eta_max must be finite and > 0, got {eta_max}")
-    if grid_points < 1:
-        raise ValueError(f"grid_points must be >= 1, got {grid_points}")
+    # each grid point is one monodromy, and the grid one array of floats
+    if not 1 <= grid_points <= MAX_STEPS:
+        raise ValueError(f"grid_points must be between 1 and MAX_STEPS = "
+                         f"{MAX_STEPS}, got {grid_points}")
     if not (math.isfinite(refine_tol) and refine_tol > 0.0):
         raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol}")
 

@@ -230,6 +230,30 @@ class TestAnalyze:
         assert report["norm_condition_holds"] is False
         assert report["is_stable"] is False
 
+    def test_zero_equilibrium_tol_is_exact_agreement(self, tmp_path,
+                                                      example1_files):
+        # both subsystems of preset 1 rest at (0, -1) to the last bit
+        sys_path, sig_path = example1_files
+        code = run_cli(["analyze", "--system", sys_path, "--signal", sig_path,
+                        "--tol", "common_equilibrium=0", "--out", tmp_path])
+        assert code == cli.EXIT_OK
+        report = strict_json(tmp_path / "analysis.json")
+        assert report["common_equilibrium"] == [0.0, -1.0]
+        assert report["config"]["tolerances"] == {"common_equilibrium": 0.0}
+
+    @pytest.mark.parametrize("k_list", ["0,2", ","])
+    def test_bad_k_list_refused(self, tmp_path, capsys, example1_files,
+                                k_list):
+        sys_path, sig_path = example1_files
+        out = tmp_path / "out"
+        code = run_cli(["analyze", "--system", sys_path, "--signal", sig_path,
+                        f"--k-list={k_list}", "--out", out])
+        assert code == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: k_list must be a nonempty list")
+        assert err.count("\n") == 1
+        assert not list(out.iterdir())
+
     def test_overflowing_det_oracle_is_inf(self, tmp_path):
         # rho = e^400 is finite, the oracle's e^800 is not: null in the JSON
         sys_path, sig_path = write_specs(tmp_path, [[[200, 0], [0, 200]]], [2.0])
@@ -277,7 +301,7 @@ class TestSynthesize:
     @pytest.mark.parametrize("option", [
         "--tol=refine_tol=0", "--tol=refine_tol=-1", "--tol=refine_tol=nan",
         "--tol=refine_tol=inf", "--grid-points=0", "--eta-max=-1",
-        "--eta-max=nan", "--eta-max=inf"])
+        "--eta-max=nan", "--eta-max=inf", "--grid-points=1000001"])
     def test_bad_eta_search_option_refused_first(self, tmp_path, capsys,
                                                  monkeypatch, example1_files,
                                                  option):
@@ -609,7 +633,7 @@ class TestExample:
             np.testing.assert_allclose(a.b, b.b)
         assert sig == example_signal(1.1)
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_bad_equilibrium_tol_refused(self, tmp_path, capsys, value):
         # the subsystem equilibria (0, -1) and (-3.64, 0.82) disagree, and
         # no tolerance may report a common one
@@ -619,8 +643,17 @@ class TestExample:
                         f"--tol=common_equilibrium={value}", "--out", out])
         assert code == cli.EXIT_INVALID
         err = capsys.readouterr().err
-        assert err.startswith("error: --tol common_equilibrium")
+        assert err.startswith("error: common_equilibrium tol must be finite")
         assert err.count("\n") == 1
+        assert not list(out.iterdir())
+
+    def test_bad_k_list_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli(["example", "1", "--k-list", "0", "--t-end", "1",
+                        "--dt", "0.5", "--out", out])
+        assert code == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: k_list must be a nonempty list")
         assert not list(out.iterdir())
 
     @pytest.mark.parametrize("x0", ["nan,0", "0,inf"])
@@ -703,6 +736,28 @@ class TestFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, name", [
+        ("analyze", "refine_tol"),
+        ("synthesize", "common_equilibrium"),
+        ("example", "refine_tol"),
+    ])
+    def test_tolerance_the_run_never_reads_is_refused(
+            self, tmp_path, capsys, example1_files, command, name):
+        # each call is valid without the --tol
+        sys_path, sig_path = example1_files
+        inputs = {"analyze": ["--system", sys_path, "--signal", sig_path],
+                  "synthesize": ["--system", sys_path, "--resolution", "0.1",
+                                 "--grid-points", "5"],
+                  "example": ["1", "--t-end", "1", "--dt", "0.5"]}[command]
+        out = tmp_path / "out"
+        code = run_cli([command, *inputs, "--tol", f"{name}=0.01",
+                        "--out", out])
+        assert code == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown --tol name {name!r}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_module_version(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))
         done = subprocess.run([sys.executable, "-m", "swstab", "--version"],
@@ -711,12 +766,18 @@ class TestFlags:
         assert done.stdout == f"{cli.__version__}\n"
 
     def test_tol_parsing(self):
-        assert cli._parse_tols(["common_equilibrium=1e-6"]) == {
+        analyze = cli._COMMANDS["analyze"][3]
+        synthesize = cli._COMMANDS["synthesize"][3]
+        assert cli._parse_tols(["common_equilibrium=1e-6"], analyze) == {
             "common_equilibrium": 1e-6}
+        assert cli._parse_tols(["refine_tol=0"], synthesize) == {
+            "refine_tol": 0.0}
         with pytest.raises(ValueError):
-            cli._parse_tols(["oops"])
-        with pytest.raises(ValueError, match="common_equilibrium, refine_tol"):
-            cli._parse_tols(["refine_tl=1e-6"])
+            cli._parse_tols(["oops"], analyze)
+        with pytest.raises(ValueError, match="known: common_equilibrium$"):
+            cli._parse_tols(["refine_tol=1e-6"], analyze)
+        with pytest.raises(ValueError, match="known: refine_tol$"):
+            cli._parse_tols(["common_equilibrium=1e-6"], synthesize)
 
     @pytest.mark.parametrize("argv, want", [
         (["--x0", "-1,2"], ["--x0=-1,2"]),
@@ -729,16 +790,19 @@ class TestFlags:
         assert cli._join_x0(argv) == want
 
     def test_k_list_parsing(self):
+        # parsing only: lemma4_bound_holds refuses a k below 1
         assert cli._parse_k_list("1,2,4") == [1, 2, 4]
-        assert cli._parse_k_list(None) == list(cli.DEFAULT_K_LIST)
+        assert cli._parse_k_list("0,2") == [0, 2]
+        assert cli._parse_k_list(",") == []
         with pytest.raises(ValueError):
-            cli._parse_k_list("0,2")
+            cli._parse_k_list("1,a")
+        assert cli.RunConfig("analyze").k_list == list(cli.DEFAULT_K_LIST)
 
 
 class TestParserReuse:
     ARGV = [
         ["example", "1", "--x0", "1,0", "--x0", "-0.3,0.7",
-         "--tol", "common_equilibrium=1e-6", "--tol", "refine_tol=0.01",
+         "--tol", "common_equilibrium=1e-6", "--tol", "common_equilibrium=0",
          "--t-end", "1", "--dt", "0.01", "--out", "out"],
         ["normmin", "--system", "lin.json", "--circle", "2", "--t-end", "1",
          "--dt", "0.01", "--out", "out"],

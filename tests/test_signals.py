@@ -111,6 +111,12 @@ class TestShift:
         sig = PeriodicSignal((Segment(1, 1.0), Segment(2, 1.0)))
         assert shift(sig, 1.0).segments == (Segment(2, 1.0), Segment(1, 1.0))
 
+    @pytest.mark.parametrize("gamma", [np.inf, np.nan, -1.0])
+    def test_bad_shift_refused(self, gamma):
+        # inf % T and nan % T are nan, which once returned sig unshifted
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            shift(example_signal(1.0), gamma)
+
     @settings(max_examples=60, deadline=None)
     @given(signals(), st.floats(0.0, 30.0))
     def test_preserves_period_and_fractions(self, sig, gamma):
@@ -164,6 +170,12 @@ class TestActiveIndex:
 
     def test_right_continuity_at_switch(self):
         assert active_index(example_signal(1.0), 2.0) == 2
+
+    @pytest.mark.parametrize("t", [np.inf, np.nan, -1.0])
+    def test_bad_time_refused(self, t):
+        # inf % T and nan % T are nan, which once fell through to index 1
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            active_index(example_signal(1.0), t)
 
 
 class TestActivationFractions:

@@ -10,6 +10,7 @@ from swstab import presets, synthesis
 from swstab.linalg import spectral_abscissa
 from swstab.model import SubSystem, SwitchedSystem, Weights
 from swstab.signals import activation_fractions, from_weights
+from swstab.simulate import MAX_STEPS
 from swstab.stability import is_ici_stable
 from swstab.synthesis import (MAX_GRID_ENTRIES, default_eta_max,
                               find_stable_combination, max_stable_eta)
@@ -434,6 +435,15 @@ class TestMaxStableEta:
     def test_bad_option_refused(self, example1, option):
         with pytest.raises(ValueError, match=next(iter(option))):
             max_stable_eta(example1, self.HALF4, **option)
+
+    def test_grid_points_capped_at_max_steps(self, example1, monkeypatch):
+        # refused before the grid is allocated or any monodromy computed
+        def no_monodromy(*args):
+            raise AssertionError("monodromy computed for a refused grid")
+        monkeypatch.setattr(synthesis, "monodromy", no_monodromy)
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            max_stable_eta(example1, self.HALF4, grid_points=MAX_STEPS + 1)
+        synthesis.check_eta_search(None, MAX_STEPS, 1e-3)
 
     def test_overflowing_monodromy_is_unstable(self):
         # the default grid runs into eta where Phi overflows; those points
