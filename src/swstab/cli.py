@@ -21,19 +21,17 @@ import numpy as np
 
 from . import __version__, presets
 from .linalg import LinalgError
-from .model import (DEFAULT_EQUILIBRIUM_TOL, SwitchedSystem,
-                    common_equilibrium, EquilibriumError, load_system,
-                    system_to_dict)
+from .model import (SwitchedSystem, common_equilibrium, EquilibriumError,
+                    load_system, system_to_dict)
 from .signals import (NormMinPolicy, PeriodicSignal, activation_fractions,
                       example_signal, load_signal, scale, signal_to_dict)
 from .stability import DEFAULT_K_LIST, is_ici_stable, lemma4_bound_holds
 from .simulate import (MAX_STEPS, DivergenceError, NoAttractingCycleError,
                        DegenerateCycleError, check_simulation, limit_cycle,
                        simulate, simulate_norm_min, write_table)
-from .synthesis import (DEFAULT_GRID_POINTS, DEFAULT_REFINE_TOL,
-                        DEFAULT_RESOLUTION, check_eta_search,
-                        default_resolution, find_stable_combination,
-                        max_stable_eta)
+from .synthesis import (DEFAULT_GRID_POINTS, DEFAULT_RESOLUTION,
+                        check_eta_search, default_resolution,
+                        find_stable_combination, max_stable_eta)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -183,9 +181,12 @@ def _cmd_analyze(config: RunConfig, out: Path, sys_, sig) -> int:
     body["activation_fractions"] = w.alpha.tolist()
     body["lemma4_bound_holds"] = lemma4_bound_holds(
         sys_, w, 1.0, k_list=config.k_list)
-    tol = config.tolerances.get("common_equilibrium", DEFAULT_EQUILIBRIUM_TOL)
+    # a tolerance not given is not passed: the library default applies
+    given = config.tolerances
+    tols = ({"tol": given["common_equilibrium"]}
+            if "common_equilibrium" in given else {})
     try:
-        eq = common_equilibrium(sys_, tol=tol)
+        eq = common_equilibrium(sys_, **tols)
         body["common_equilibrium"] = None if eq is None else eq.tolist()
     except EquilibriumError:
         body["common_equilibrium"] = None
@@ -202,10 +203,10 @@ def _cmd_synthesize(config: RunConfig, out: Path, sys_, sig) -> int:
     _write_json(out / "combination.json", _report(config, comb.to_dict()))
     if not comb.found:
         return EXIT_UNSTABLE
+    # synthesize reads refine_tol only; one not given is not passed
     search = max_stable_eta(
         sys_, comb.weights, eta_max=config.eta_max,
-        grid_points=config.grid_points,
-        refine_tol=config.tolerances.get("refine_tol", DEFAULT_REFINE_TOL))
+        grid_points=config.grid_points, **config.tolerances)
     _write_json(out / "eta_search.json", _report(config, search.to_dict()))
     with open(out / "eta_grid.csv", "w") as fh:
         write_table(fh, ["eta", "spectral_radius"], search.grid)
@@ -343,8 +344,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
                                           _COMMANDS[given["command"]][3])
     config = RunConfig(**given)
     # refused here, not after synthesize's simplex search has written output
-    check_eta_search(config.eta_max, config.grid_points,
-                     config.tolerances.get("refine_tol", DEFAULT_REFINE_TOL))
+    if config.command == "synthesize":
+        check_eta_search(config.eta_max, config.grid_points,
+                         **config.tolerances)
     return config
 
 

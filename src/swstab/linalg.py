@@ -7,7 +7,8 @@ arrays are checked once, by as_matrix / as_square / as_vector, in the model
 constructors and the entry points that take raw arrays.  The eigenvalue
 kernel makes one finiteness check and then calls numpy's LAPACK gufunc
 directly, without the shape and dtype checks that np.linalg.eigvals
-repeats on every call.
+repeats on every call; finite_spectrum is that call alone, for a caller
+that checks finiteness once for many calls.
 """
 
 from __future__ import annotations
@@ -70,7 +71,13 @@ def as_vector(v) -> np.ndarray:
 
 
 def mat_exp(M) -> np.ndarray:
-    """Matrix exponential e^M (scaling-and-squaring with Pade approximant)."""
+    """Matrix exponential e^M of a square matrix, or of each matrix in a
+    (k, n, n) stack (scaling-and-squaring with Pade approximant).
+
+    scipy's expm works through a stack one slice at a time, so each slice
+    has the bits of a call of its own; one call pays scipy's per-call
+    overhead once for the whole stack.
+    """
     return scipy.linalg.expm(M)
 
 
@@ -88,11 +95,19 @@ def spectrum(M) -> np.ndarray:
     # the gufunc flags non-convergence as an invalid operation and returns
     # NaN; the flag is silenced and the NaN becomes the error
     with np.errstate(invalid="ignore"):
-        w = _eigvals(M, signature="d->D")
+        w = finite_spectrum(M)
     if np.isnan(w).any():
         raise NumericalError(
             "eigenvalue computation failed: Eigenvalues did not converge")
     return w
+
+
+def finite_spectrum(M) -> np.ndarray:
+    """spectrum without its checks, for a caller that knows M is finite
+    and runs under np.errstate(invalid="ignore"): the eigenvalues of a
+    matrix LAPACK does not converge on are NaN.  A non-finite M is not
+    allowed: LAPACK's balancing prints an error for it."""
+    return _eigvals(M, signature="d->D")
 
 
 def spectral_radius(M) -> float:

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import linalg
-from .model import (EquilibriumError, SubSystem, SwitchedSystem,
-                    average_system, equilibrium)
+from .model import (EquilibriumError, SwitchedSystem, average_system,
+                    equilibrium)
 from .signals import NormMinPolicy, PeriodicSignal, activation_fractions
 
 DIVERGENCE_GUARD = 1e12
@@ -129,32 +129,53 @@ class Cycle:
         }
 
 
-def segment_map(sub: SubSystem, tau: float) -> AffineMap:
-    """Exact flow of dx/dt = A x + b over tau, as an affine map.
+def segment_map(sys: SwitchedSystem,
+                pairs: Sequence[tuple[int, float]]) -> list[AffineMap]:
+    """Exact flow of dx/dt = A_i x + b_i over tau, as an affine map, for
+    each (i, tau) in pairs; i is a 1-based subsystem index, as in a
+    signal's segments, which are such pairs.
 
-    Obtained from the exponential of the augmented matrix [[A, b], [0, 0]].
+    Each map comes from the exponential of the augmented matrix
+    tau [[A_i, b_i], [0, 0]], all of them from one linalg.mat_exp call on
+    the (k, n + 1, n + 1) stack: each map has the bits of a call of its
+    own, and scipy's per-call overhead is paid once.
     """
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    n = sub.n
-    G = np.zeros((n + 1, n + 1))
-    G[:n, :n] = sub.A
-    G[:n, n] = sub.b
-    E = linalg.mat_exp(tau * G)
-    return AffineMap(E[:n, :n], E[:n, n])
+    n = sys.n
+    G = np.zeros((len(pairs), n + 1, n + 1))
+    for k, (idx, tau) in enumerate(pairs):
+        sub = sys.subsystem(idx)
+        if not tau > 0.0:
+            raise ValueError(f"tau must be positive, got {tau}")
+        G[k, :n, :n] = sub.A
+        G[k, :n, n] = sub.b
+    G *= np.array([tau for _, tau in pairs], dtype=float)[:, None, None]
+    E = linalg.mat_exp(G)
+    return [AffineMap(E[k, :n, :n], E[k, :n, n]) for k in range(len(pairs))]
+
+
+def poincare_maps(sys: SwitchedSystem,
+                  sigs: Sequence[PeriodicSignal]) -> list[AffineMap]:
+    """One-period map x(T) = M x(0) + v of each signal, composed segment by
+    segment; one segment_map call builds the steps of every signal."""
+    maps = []
+    # an overflow leaves inf or nan, without a warning; callers check for it
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = segment_map(sys, [seg for sig in sigs for seg in sig.segments])
+        start = 0
+        for sig in sigs:
+            M = np.eye(sys.n)
+            v = np.zeros(sys.n)
+            for step in steps[start:start + len(sig.segments)]:
+                M = step.M.dot(M)
+                v = step.M.dot(v) + step.v
+            start += len(sig.segments)
+            maps.append(AffineMap(M, v))
+    return maps
 
 
 def poincare_map(sys: SwitchedSystem, sig: PeriodicSignal) -> AffineMap:
     """One-period map x(T) = M x(0) + v, composed segment by segment."""
-    M = np.eye(sys.n)
-    v = np.zeros(sys.n)
-    # an overflow leaves inf or nan, without a warning; callers check for it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for idx, dur in sig.segments:
-            step = segment_map(sys.subsystem(idx), dur)
-            M = step.M.dot(M)
-            v = step.M.dot(v) + step.v
-    return AffineMap(M, v)
+    return poincare_maps(sys, (sig,))[0]
 
 
 def check_simulation(t_end: float, sample_dt: float,
@@ -184,6 +205,22 @@ def _guard(x: np.ndarray, t: float, times: np.ndarray, states: np.ndarray,
                                             active[:rows]))
 
 
+def _walk(durations: list[float], sample_times: list[float]):
+    """For each sample time, in order: the segments crossed since the last
+    sample as (position, end time) pairs, then the position of the segment
+    holding the sample and the sample's offset into it."""
+    seg_pos = 0              # position within the segment list
+    t_seg = 0.0              # start time of the current segment
+    for t_s in sample_times:
+        crossed = []
+        # whole segments that end at or before the sample time
+        while t_seg + durations[seg_pos] <= t_s + 1e-12 * max(t_s, 1.0):
+            t_seg += durations[seg_pos]
+            crossed.append((seg_pos, t_seg))
+            seg_pos = (seg_pos + 1) % len(durations)
+        yield crossed, seg_pos, t_s - t_seg
+
+
 def simulate(sys: SwitchedSystem, sig: PeriodicSignal, x0: np.ndarray,
              t_end: float, sample_dt: float) -> Trajectory:
     """Exact trajectory under a periodic signal, sampled every sample_dt.
@@ -191,8 +228,11 @@ def simulate(sys: SwitchedSystem, sig: PeriodicSignal, x0: np.ndarray,
     States are propagated exactly across each segment boundary; samples
     inside a segment use a partial-duration exact step.  Each sample is
     labelled with the segment the walk is propagating, so a sample at a
-    switching instant reads the segment that begins there.  More than
-    MAX_STEPS samples plus segment crossings raises ValueError up front.
+    switching instant reads the segment that begins there.  The walk is
+    planned first: one segment_map call builds the full-segment maps and
+    one partial map per distinct (segment, offset rounded to 1e-12) pair,
+    and the propagation replays the walk with them.  More than MAX_STEPS
+    samples plus segment crossings raises ValueError up front.
     """
     check_simulation(t_end, sample_dt, sig)
 
@@ -201,41 +241,32 @@ def simulate(sys: SwitchedSystem, sig: PeriodicSignal, x0: np.ndarray,
     if not sample_times or sample_times[-1] < t_end - 1e-9 * t_end:
         sample_times.append(t_end)
 
-    # segment boundaries and full-segment maps, repeated over periods
-    full_maps = [segment_map(sys.subsystem(idx), dur)
-                 for idx, dur in sig.segments]
+    # the full segments, then the first offset met of each partial key
     durations = [dur for _, dur in sig.segments]
-    partial_cache: dict[tuple[int, float], AffineMap] = {}
+    pairs = list(sig.segments)
+    partial: dict[tuple[int, float], int] = {}
+    for _, seg_pos, tau in _walk(durations, sample_times):
+        key = (seg_pos, round(tau, 12))
+        if tau > 0.0 and key not in partial:
+            partial[key] = len(pairs)
+            pairs.append((sig.segments[seg_pos].index, tau))
+    maps = segment_map(sys, pairs)
 
-    seg_pos = 0              # position within the segment list
-    t_seg = 0.0              # start time of the current segment
     x = linalg.as_vector(x0).copy()
     times = np.array([0.0] + sample_times)
     states = np.empty((len(times), x.size))
     active = np.empty(len(times), dtype=int)
     states[0] = x
-    active[0] = sig.segments[seg_pos].index
-    for row, t_s in enumerate(sample_times, start=1):
-        # cross whole segments that end at or before the sample time
-        while t_seg + durations[seg_pos] <= t_s + 1e-12 * max(t_s, 1.0):
-            x = full_maps[seg_pos](x)
-            t_seg += durations[seg_pos]
-            seg_pos = (seg_pos + 1) % len(durations)
+    active[0] = sig.segments[0].index
+    for row, (t_s, (crossed, seg_pos, tau)) in enumerate(
+            zip(sample_times, _walk(durations, sample_times)), start=1):
+        for pos, t_seg in crossed:
+            x = maps[pos](x)
             _guard(x, t_seg, times, states, active, row)
-        idx = sig.segments[seg_pos].index
-        tau = t_s - t_seg
-        if tau > 0.0:
-            key = (seg_pos, round(tau, 12))
-            step = partial_cache.get(key)
-            if step is None:
-                step = segment_map(sys.subsystem(idx), tau)
-                partial_cache[key] = step
-            x_s = step(x)
-        else:
-            x_s = x
+        x_s = maps[partial[seg_pos, round(tau, 12)]](x) if tau > 0.0 else x
         _guard(x_s, t_s, times, states, active, row)
         states[row] = x_s
-        active[row] = idx
+        active[row] = sig.segments[seg_pos].index
 
     return Trajectory(times, states, active)
 
@@ -270,8 +301,8 @@ def simulate_norm_min(sys: SwitchedSystem, x0: np.ndarray, t_end: float,
     if n_steps < 1 or abs(steps - n_steps) > 1e-9 * steps:
         raise ValueError(f"t_end = {t_end:g} is not a whole number of steps "
                          f"of {h:g} (t_end / step = {steps:.10g})")
-    step_maps = [segment_map(sub, h) for sub in sys.subsystems]
     m, n = sys.m, sys.n
+    step_maps = segment_map(sys, [(i, h) for i in range(1, m + 1)])
     stacked = np.concatenate([sub.A for sub in sys.subsystems]
                              + [step.M for step in step_maps])
     offsets = np.concatenate([sub.b for sub in sys.subsystems]

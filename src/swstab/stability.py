@@ -68,9 +68,12 @@ def is_ici_stable(sys: SwitchedSystem, sig: PeriodicSignal,
     """Stability report for the (already eta-scaled) periodic signal."""
     Phi = monodromy(sys, sig)
     rho = linalg.spectral_radius(Phi)
+    # a determinant beyond the float range is inf, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = float(np.linalg.det(Phi))
     return StabilityReport(
         spectral_radius=rho,
-        determinant=float(np.linalg.det(Phi)),
+        determinant=det,
         det_oracle=det_monodromy_oracle(sys, sig),
         is_stable=rho < 1.0,
         norm_condition_holds=linalg.operator_norm_2(Phi) < 1.0,
@@ -124,11 +127,14 @@ def lemma4_bound_holds(sys: SwitchedSystem, w: Weights, eta: float,
     C = bch_c2(sys, w)
     A_avg = average_system(sys, w).A
     s = eta * w.period
-    for k in ks:
-        lhs = linalg.operator_norm_2(linalg.mat_exp((s * s / k) * C))
-        rhs = 1.0 / linalg.operator_norm_2(linalg.mat_exp((s / k) * A_avg))
-        if not lhs < rhs:
-            return False
+    # an exponential that overflows has a nan norm, and the bound is false
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in ks:
+            lhs = linalg.operator_norm_2(linalg.mat_exp((s * s / k) * C))
+            rhs = 1.0 / linalg.operator_norm_2(
+                linalg.mat_exp((s / k) * A_avg))
+            if not lhs < rhs:
+                return False
     return True
 
 

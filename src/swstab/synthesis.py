@@ -12,7 +12,7 @@ import numpy as np
 from . import linalg
 from .model import SwitchedSystem, Weights, average_system
 from .signals import from_weights
-from .simulate import MAX_STEPS
+from .simulate import MAX_STEPS, poincare_maps
 from .stability import monodromy
 
 
@@ -57,6 +57,11 @@ class EtaSearchResult:
 
 # Grid points whose abscissae one stacked eigenvalue call computes.
 _SCAN_BLOCK = 256
+# Largest |entry| of the matrices for which the lean _abscissae runs: no
+# convex combination of them, rounding included, overflows.
+_LEAN_BOUND = np.finfo(float).max / 4
+# eta grid points whose monodromies one stacked exponential computes.
+_ETA_BLOCK = 256
 # Most simplex-grid entries (points x weights) a scan may hold: 100 MB.
 MAX_GRID_ENTRIES = 12_500_000
 # Simplex-grid spacing when none is given; default_resolution coarsens it.
@@ -114,15 +119,38 @@ def _simplex_grid(m: int, steps: int) -> np.ndarray:
     return (bounds[:, :-1] - bounds[:, 1:]) / steps
 
 
-def _abscissae(alphas: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
-    """Spectral abscissa of sum_i alpha_i A_i for every row of a (k, m) block."""
+def _combinations(alphas: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
+    """sum_i alpha_i A_i for every row of a (k, m) block, as (k, n, n)."""
     # a vector-matrix product per row rounds the same in a one-row call as
     # in any block; one matrix-matrix product over the block would not
-    mats = (alphas[:, None, :] @ flat).reshape(-1, n, n)
-    return linalg.spectrum(mats).real.max(axis=-1)
+    return (alphas[:, None, :] @ flat).reshape(-1, n, n)
 
 
-def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray):
+def _checked_abscissae(alphas: np.ndarray, flat: np.ndarray,
+                       n: int) -> np.ndarray:
+    """_abscissae through linalg.spectrum, which refuses a non-finite
+    combination with NumericalError."""
+    return linalg.spectrum(_combinations(alphas, flat, n)).real.max(axis=-1)
+
+
+def _abscissae(alphas: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
+    """Spectral abscissa of sum_i alpha_i A_i for every row of a (k, m) block.
+
+    The search's lean evaluator: no finiteness check per call.  It is for
+    finite weights in [0, 1] and entries of flat within _LEAN_BOUND, whose
+    combinations are finite; find_stable_combination checks that once per
+    search, and runs the search under np.errstate(invalid="ignore").  A
+    NaN abscissa, where LAPACK did not converge, goes to
+    _checked_abscissae, which raises linalg.spectrum's NumericalError.
+    """
+    vals = linalg.finite_spectrum(_combinations(alphas, flat, n)).real.max(
+        axis=-1)
+    if any(map(math.isnan, vals.tolist())):
+        return _checked_abscissae(alphas, flat, n)
+    return vals
+
+
+def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray, evaluate=None):
     """Minimise the abscissa at weights |z| / sum|z| over z, from x0.
 
     scipy.optimize's non-adaptive Nelder-Mead (scipy 1.17), operation for
@@ -131,8 +159,17 @@ def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray):
     matches.  Points are evaluated one at a time, in scipy's order: each
     initial vertex, the reflection, then only the expansion or the one
     contraction its branch needs, and each shrink vertex.  Every point with
-    sum|z| > 0 is one _abscissae call and one evaluation; a point with
-    sum|z| = 0 has value +inf and is not counted.
+    sum|z| > 0 is one call of evaluate (default _abscissae) and one
+    evaluation; a point with sum|z| = 0 has value +inf and is not counted.
+    A point whose sum|z| overflows goes to _checked_abscissae.
+
+    The simplex is kept in Python floats: scipy's numpy expressions act
+    elementwise, so each gives the same double in Python, and the
+    centroid's np.add.reduce over axis 0 adds the rows in order from 0.
+    Three steps stay in numpy: the weights |z| / sum|z| (numpy sums 8 or
+    more values pairwise), np.argsort (which need not keep ties in order)
+    and the bytes of the repeat key (a float comparison equates 0.0 and
+    -0.0).
 
     Where the stopping rule cannot fire, the sorted simplex and its values
     often come to repeat bit for bit: at a coalescing eigenvalue the
@@ -145,68 +182,84 @@ def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray):
     Returns (x, value, iterations, status, evaluations), where status is
     "converged", "maxiter" or "cycle".
     """
+    if evaluate is None:
+        evaluate = _abscissae
     N = len(x0)
     evaluations = 0
 
-    def f(z: np.ndarray) -> float:
+    def f(z: list) -> float:
         nonlocal evaluations
         az = np.abs(z)
         s = az.sum()
         if s <= 0.0:
-            return np.inf
+            return math.inf
         evaluations += 1
-        return float(_abscissae((az / s)[None], flat, n)[0])
+        weights = (az / s)[None]
+        if s < math.inf:
+            return float(evaluate(weights, flat, n)[0])
+        return float(_checked_abscissae(weights, flat, n)[0])
 
-    sim = np.empty((N + 1, N))
-    sim[0] = x0
+    def sorted_state(sim, fsim):
+        """sim and fsim in np.argsort order of fsim, and their bytes."""
+        # the ndarray method is np.argsort without its wrapper
+        order = np.array(fsim).argsort().tolist()
+        sim, fsim = [sim[k] for k in order], [fsim[k] for k in order]
+        state = np.array([v for row in sim for v in row] + fsim).tobytes()
+        return sim, fsim, state
+
+    x0 = [float(v) for v in x0]
+    sim = [x0]
     for k in range(N):
-        y = x0.copy()
+        y = list(x0)
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    fsim = np.array([f(v) for v in sim])
-    order = np.argsort(fsim)
-    sim, fsim = sim[order], fsim[order]
+        sim.append(y)
+    sim, fsim, state = sorted_state(sim, [f(v) for v in sim])
 
-    seen = {sim.tobytes() + fsim.tobytes()}
+    seen = {state}
     iterations, status = 1, "maxiter"
     while iterations < _MAXITER:
-        if (np.abs(sim[1:] - sim[0]).max() <= _XATOL
-                and np.abs(fsim[0] - fsim[1:]).max() <= _FATOL):
+        best, worst = sim[0], sim[-1]
+        # all(<=) is max <= tol, and false on a NaN as the max comparison is
+        if (all(abs(v - b) <= _XATOL
+                for row in sim[1:] for v, b in zip(row, best))
+                and all(abs(fsim[0] - fv) <= _FATOL for fv in fsim[1:])):
             status = "converged"
             break
-        xbar = np.add.reduce(sim[:-1], 0) / N    # rows summed in order, as scipy
+        xbar = [0.0] * N
+        for row in sim[:-1]:
+            xbar = [c + v for c, v in zip(xbar, row)]
+        xbar = [c / N for c in xbar]
         # reflection, expansion and contractions: rho = 1, chi = 2, psi = 1/2
-        xr = 2.0 * xbar - sim[-1]
+        xr = [2.0 * c - w for c, w in zip(xbar, worst)]
         fxr = f(xr)
         x, fx, shrink = xr, fxr, False
         if fxr < fsim[0]:
-            xe = 3.0 * xbar - 2.0 * sim[-1]
+            xe = [3.0 * c - 2.0 * w for c, w in zip(xbar, worst)]
             fxe = f(xe)
             if fxe < fxr:
                 x, fx = xe, fxe
         elif fxr >= fsim[-2]:       # values are never NaN: spectrum raises
             if fxr < fsim[-1]:
-                x = 1.5 * xbar - 0.5 * sim[-1]
+                x = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
                 fx = f(x)
                 shrink = fx > fxr
             else:
-                x = 0.5 * xbar + 0.5 * sim[-1]
+                x = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
                 fx = f(x)
                 shrink = fx >= fsim[-1]
         if shrink:
-            sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
-            fsim[1:] = [f(v) for v in sim[1:]]
+            sim = [best] + [[b + 0.5 * (v - b) for v, b in zip(row, best)]
+                            for row in sim[1:]]
+            fsim = fsim[:1] + [f(v) for v in sim[1:]]
         else:
-            sim[-1], fsim[-1] = x, fx
+            sim, fsim = sim[:-1] + [x], fsim[:-1] + [fx]
         iterations += 1
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-        key = sim.tobytes() + fsim.tobytes()
-        if key in seen:
+        sim, fsim, state = sorted_state(sim, fsim)
+        if state in seen:
             status = "cycle"
             break
-        seen.add(key)
-    return sim[0], fsim.min(), iterations, status, evaluations
+        seen.add(state)
+    return np.array(sim[0]), np.min(fsim), iterations, status, evaluations
 
 
 def find_stable_combination(matrices: Sequence[np.ndarray],
@@ -225,7 +278,10 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
     reported.  A single matrix is a one-point grid with no refinement.  The
     weights carry period 1.  No resolution means default_resolution(m).  A
     resolution that is not finite and positive, or whose grid would exceed
-    MAX_GRID_ENTRIES weights, raises ValueError before any work.
+    MAX_GRID_ENTRIES weights, raises ValueError before any work.  The
+    search checks once that no combination can overflow and then evaluates
+    with the lean _abscissae; matrices with an entry beyond _LEAN_BOUND
+    take linalg.spectrum's checked path at every point.
     """
     m = len(matrices)
     if m == 0:
@@ -239,18 +295,24 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
         if M.shape != (n, n):
             raise linalg.DimensionError("matrices must share a common dimension")
     flat = np.stack(mats).reshape(m, n * n)
+    # the one finiteness check of the search; beyond the bound every point
+    # takes the checked path
+    evaluate = (_abscissae if np.abs(flat).max() <= _LEAN_BOUND
+                else _checked_abscissae)
 
     grid = _simplex_grid(m, steps)
-    vals = np.concatenate([_abscissae(grid[k:k + _SCAN_BLOCK], flat, n)
-                           for k in range(0, len(grid), _SCAN_BLOCK)])
+    with np.errstate(invalid="ignore"):
+        vals = np.concatenate([evaluate(grid[k:k + _SCAN_BLOCK], flat, n)
+                               for k in range(0, len(grid), _SCAN_BLOCK)])
     best = int(np.argmin(vals))
     best_alpha, best_val = grid[best], float(vals[best])
     evaluations = len(grid)
     refinement = None
 
     if m > 1:
-        x, fval, iterations, status, nm_evaluations = _nelder_mead(
-            flat, n, best_alpha + 1e-3)
+        with np.errstate(invalid="ignore"):
+            x, fval, iterations, status, nm_evaluations = _nelder_mead(
+                flat, n, best_alpha + 1e-3, evaluate)
         evaluations += nm_evaluations
         refinement = {"status": status, "iterations": iterations}
         if fval < best_val:
@@ -272,7 +334,7 @@ def default_eta_max(sys: SwitchedSystem, w: Weights) -> float:
 
 
 def check_eta_search(eta_max: Optional[float], grid_points: int,
-                     refine_tol: float) -> None:
+                     refine_tol: float = DEFAULT_REFINE_TOL) -> None:
     """Refuse max_stable_eta options it cannot work with (ValueError)."""
     if eta_max is not None and not (math.isfinite(eta_max) and eta_max > 0.0):
         raise ValueError(f"eta_max must be finite and > 0, got {eta_max}")
@@ -282,6 +344,21 @@ def check_eta_search(eta_max: Optional[float], grid_points: int,
                          f"{MAX_STEPS}, got {grid_points}")
     if not (math.isfinite(refine_tol) and refine_tol > 0.0):
         raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol}")
+
+
+def _grid_radii(sys: SwitchedSystem, w: Weights,
+                etas: list[float]) -> list[float]:
+    """rho(Phi(eta)) for each eta, inf where Phi overflows: the monodromies
+    come from one stacked exponential, the radii from one stacked
+    eigenvalue call, each with the bits of its own monodromy and
+    linalg.spectral_radius call."""
+    sigs = [from_weights(w, eta) for eta in etas]
+    Phis = np.stack([pm.M for pm in poincare_maps(sys, sigs)])
+    finite = np.isfinite(Phis).all(axis=(1, 2))
+    radii = np.full(len(etas), math.inf)
+    if finite.any():
+        radii[finite] = np.abs(linalg.spectrum(Phis[finite])).max(axis=-1)
+    return radii.tolist()
 
 
 def max_stable_eta(sys: SwitchedSystem, w: Weights,
@@ -297,7 +374,9 @@ def max_stable_eta(sys: SwitchedSystem, w: Weights,
     whose monodromy overflows is unstable, with rho recorded as inf.  The
     bisection runs until its bracket is at most refine_tol wide and it has
     found a stable eta, so eta_star > 0; it also ends when no float lies
-    strictly between its bounds.
+    strictly between its bounds.  The grid's monodromies come _ETA_BLOCK
+    at a time from one stacked exponential (_grid_radii); the bisection
+    computes one monodromy per step.
     Options that check_eta_search refuses raise ValueError before any work.
     """
     check_eta_search(eta_max, grid_points, refine_tol)
@@ -311,8 +390,11 @@ def max_stable_eta(sys: SwitchedSystem, w: Weights,
         Phi = monodromy(sys, from_weights(w, eta))
         return linalg.spectral_radius(Phi) if np.isfinite(Phi).all() else math.inf
 
-    etas = np.linspace(eta_max / grid_points, eta_max, grid_points)
-    grid = tuple((float(e), rho(float(e))) for e in etas)
+    etas = np.linspace(eta_max / grid_points, eta_max, grid_points).tolist()
+    radii = []
+    for k in range(0, len(etas), _ETA_BLOCK):
+        radii += _grid_radii(sys, w, etas[k:k + _ETA_BLOCK])
+    grid = tuple(zip(etas, radii))
 
     first_unstable = next((k for k, (_, r) in enumerate(grid) if r >= 1.0), None)
     if first_unstable is None:

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from swstab import cli, synthesis
-from swstab.model import DEFAULT_EQUILIBRIUM_TOL, load_system, system_to_dict
+from swstab.model import (DEFAULT_EQUILIBRIUM_TOL, common_equilibrium,
+                          load_system, system_to_dict)
 from swstab.synthesis import (DEFAULT_GRID_POINTS, DEFAULT_REFINE_TOL,
                               max_stable_eta)
 from swstab.signals import load_signal, example_signal
@@ -205,6 +206,7 @@ class TestAnalyze:
         assert report["common_equilibrium"] is None
         assert report["is_stable"] is True
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_dwell_bound_is_false(self, tmp_path):
         # the commutator side of the dwell bound overflows to inf
         sys_path, sig_path = write_specs(
@@ -216,6 +218,7 @@ class TestAnalyze:
         assert report["lemma4_bound_holds"] is False
         assert report["spectral_radius"] == pytest.approx(1.0216, abs=1e-4)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_norm_is_unstable(self, tmp_path):
         # the dwell bound's exponentials overflow to nan entries, whose
         # 2-norm is nan; the system is valid and unstable
@@ -254,6 +257,7 @@ class TestAnalyze:
         assert err.count("\n") == 1
         assert not list(out.iterdir())
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_det_oracle_is_inf(self, tmp_path):
         # rho = e^400 is finite, the oracle's e^800 is not: null in the JSON
         sys_path, sig_path = write_specs(tmp_path, [[[200, 0], [0, 200]]], [2.0])
@@ -331,29 +335,43 @@ class TestSynthesize:
     def test_default_tolerances_are_library_defaults(self, tmp_path,
                                                      example1_files,
                                                      monkeypatch):
+        # a tolerance not given is not passed, so the library's keyword
+        # default applies; one given is passed as a keyword
         seen = {}
 
-        def recording(fn, key):
+        def recording(name):
+            fn = getattr(cli, name)
+
             def wrapped(*args, **kwargs):
-                seen[key] = kwargs[key]
+                seen.setdefault(name, []).append(kwargs)
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(cli, "common_equilibrium",
-                            recording(cli.common_equilibrium, "tol"))
-        monkeypatch.setattr(cli, "max_stable_eta",
-                            recording(cli.max_stable_eta, "refine_tol"))
+        for name in ("common_equilibrium", "max_stable_eta",
+                     "check_eta_search"):
+            monkeypatch.setattr(cli, name, recording(name))
         sys_path, sig_path = example1_files
-        run_cli(["synthesize", "--system", sys_path, "--resolution", "0.1",
-                 "--grid-points", "5", "--out", tmp_path])
-        run_cli(["analyze", "--system", sys_path, "--signal", sig_path,
-                 "--out", tmp_path])
-        assert seen == {"tol": DEFAULT_EQUILIBRIUM_TOL,
-                        "refine_tol": DEFAULT_REFINE_TOL}
-        defaults = inspect.signature(max_stable_eta).parameters
-        assert defaults["refine_tol"].default == DEFAULT_REFINE_TOL
-        assert (defaults["grid_points"].default == cli.RunConfig.grid_points
-                == DEFAULT_GRID_POINTS)
+        synthesize = ["synthesize", "--system", sys_path, "--resolution",
+                      "0.1", "--grid-points", "5"]
+        analyze = ["analyze", "--system", sys_path, "--signal", sig_path]
+        for extra, out in [([], tmp_path / "default"),
+                           (["--tol", "refine_tol=0.01",
+                             "--tol", "common_equilibrium=1e-6"],
+                            tmp_path / "given")]:
+            tol = {"synthesize": extra[:2], "analyze": extra[2:]}
+            run_cli(synthesize + tol["synthesize"] + ["--out", out])
+            run_cli(analyze + tol["analyze"] + ["--out", out])
+        assert seen["check_eta_search"] == [{}, {"refine_tol": 0.01}]
+        assert [{k: v for k, v in kw.items() if k == "refine_tol"}
+                for kw in seen["max_stable_eta"]] == [{}, {"refine_tol": 0.01}]
+        assert seen["common_equilibrium"] == [{}, {"tol": 1e-6}]
+        for fn, name, default in [
+                (max_stable_eta, "refine_tol", DEFAULT_REFINE_TOL),
+                (synthesis.check_eta_search, "refine_tol", DEFAULT_REFINE_TOL),
+                (common_equilibrium, "tol", DEFAULT_EQUILIBRIUM_TOL)]:
+            assert inspect.signature(fn).parameters[name].default == default
+        assert (inspect.signature(max_stable_eta).parameters["grid_points"]
+                .default == cli.RunConfig.grid_points == DEFAULT_GRID_POINTS)
 
     def test_default_resolution_fits_the_grid(self, tmp_path, monkeypatch):
         # room for 10 divisions of 5 weights, not 11: the default 0.01 is

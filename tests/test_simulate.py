@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,7 @@ from swstab.model import SubSystem, SwitchedSystem, Weights, average_system
 from swstab.signals import (NormMinPolicy, PeriodicSignal, Segment,
                             example_signal, shift)
 from swstab.simulate import (CSV_BLOCK_ROWS, DIVERGENCE_GUARD, GUARD_ROWS,
-                             DivergenceError, NoAttractingCycleError,
+                             AffineMap, DivergenceError, NoAttractingCycleError,
                              Trajectory, limit_cycle, poincare_map,
                              segment_map, simulate, simulate_norm_min)
 from swstab.stability import monodromy
@@ -19,6 +20,50 @@ from conftest import random_switched_system
 
 # the package exports the function simulate under the module's name
 simulate_module = importlib.import_module("swstab.simulate")
+
+
+def one_segment(sub, tau):
+    """The segment map of one subsystem over tau."""
+    return segment_map(SwitchedSystem((sub,)), [(1, tau)])[0]
+
+
+def segment_reference(sub, tau):
+    """A segment map built alone, from scipy's expm of one augmented
+    (n + 1, n + 1) matrix: the oracle for the stacked segment_map."""
+    n = sub.n
+    G = np.zeros((n + 1, n + 1))
+    G[:n, :n] = sub.A
+    G[:n, n] = sub.b
+    E = scipy.linalg.expm(tau * G)
+    return AffineMap(E[:n, :n], E[:n, n])
+
+
+def simulate_reference(sys_, sig, x0, t_end, dt):
+    """simulate's walk one step at a time, each map built alone when it is
+    first needed: (times, states, active), with no divergence guard."""
+    n = int(np.floor(t_end / dt + 1e-9))
+    sample_times = [k * dt for k in range(1, n + 1)]
+    if not sample_times or sample_times[-1] < t_end - 1e-9 * t_end:
+        sample_times.append(t_end)
+    full = [segment_reference(sys_.subsystem(i), d) for i, d in sig.segments]
+    partial = {}
+    pos, t_seg, x = 0, 0.0, np.array(x0, dtype=float)
+    states, active = [x], [sig.segments[0].index]
+    for t in sample_times:
+        while t_seg + sig.segments[pos].duration <= t + 1e-12 * max(t, 1.0):
+            x = full[pos](x)
+            t_seg += sig.segments[pos].duration
+            pos = (pos + 1) % len(sig.segments)
+        idx, tau = sig.segments[pos].index, t - t_seg
+        if tau > 0.0:
+            key = (pos, round(tau, 12))
+            if key not in partial:
+                partial[key] = segment_reference(sys_.subsystem(idx), tau)
+            states.append(partial[key](x))
+        else:
+            states.append(x)
+        active.append(idx)
+    return np.array([0.0] + sample_times), np.array(states), np.array(active)
 
 
 def walk_labels(sig, t_end, dt):
@@ -40,7 +85,7 @@ def norm_min_reference(sys_, x0, t_end, h):
     """The norm-min loop written plainly, as the oracle for the lean one:
     list appends, the np.linalg.norm guard and np.argmin."""
     n_steps = max(1, int(round(t_end / h)))
-    step_maps = [segment_map(sub, h) for sub in sys_.subsystems]
+    step_maps = [one_segment(sub, h) for sub in sys_.subsystems]
     As = np.stack([sub.A for sub in sys_.subsystems])
     bs = np.stack([sub.b for sub in sys_.subsystems])
     x = np.array(x0, dtype=float)
@@ -85,7 +130,7 @@ class TestSegmentStep:
         from swstab.linalg import mat_exp
         sub = SubSystem(np.array([[0.0, 1.0], [-2.0, -0.5]]), np.zeros(2))
         x = np.array([1.0, -1.0])
-        np.testing.assert_allclose(segment_map(sub, 0.8)(x),
+        np.testing.assert_allclose(one_segment(sub, 0.8)(x),
                                    mat_exp(0.8 * sub.A) @ x, atol=1e-13)
 
     def test_affine_closed_form(self, rng):
@@ -98,18 +143,18 @@ class TestSegmentStep:
             tau = rng.uniform(0.1, 2.0)
             E = mat_exp(tau * A)
             want = E @ x + np.linalg.solve(A, (E - np.eye(3)) @ b)
-            got = segment_map(SubSystem(A, b), tau)(x)
+            got = one_segment(SubSystem(A, b), tau)(x)
             np.testing.assert_allclose(got, want, atol=1e-10 * max(
                 1.0, np.linalg.norm(want)))
 
     def test_equilibrium_is_fixed(self, example1):
         sub = example1.subsystems[0]
-        out = segment_map(sub, 1.7)(np.array([0.0, -1.0]))
+        out = one_segment(sub, 1.7)(np.array([0.0, -1.0]))
         np.testing.assert_allclose(out, [0.0, -1.0], atol=1e-12)
 
     def test_nonpositive_tau_rejected(self, example1):
         with pytest.raises(ValueError):
-            segment_map(example1.subsystems[0], 0.0)
+            segment_map(example1, [(1, 1.0), (2, 0.0)])
 
 
 class TestSimulate:
@@ -216,6 +261,97 @@ class TestSimulate:
         np.savetxt(want, np.column_stack([times, states, active]), fmt="%.12g",
                    delimiter=",", header=header, comments="")
         assert got.getvalue() == want.getvalue()
+
+
+class TestStackedPropagation:
+    """One stacked exponential gives the bits of one call per map."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 3), k=st.integers(1, 8),
+           kind=st.sampled_from(["random", "diagonal", "upper", "lower"]),
+           overflow=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_segment_maps_equal_one_call_each(self, n, m, k, kind, overflow,
+                                              seed):
+        # diagonal and triangular augmented matrices take scipy's special
+        # branches; a tau of 1e3 on an unstable A overflows
+        rng = np.random.default_rng(seed)
+        subs = []
+        for _ in range(m):
+            A = rng.normal(size=(n, n))
+            b = rng.normal(size=n)
+            if kind == "diagonal":
+                A, b = np.diag(np.diag(A)), np.zeros(n)
+            elif kind == "upper":
+                A = np.triu(A)
+            elif kind == "lower":
+                A, b = np.tril(A), np.zeros(n)
+            if overflow:        # by Gershgorin, every Re(lambda) >= 1
+                A = A + (1.0 + np.abs(A).sum()) * np.eye(n)
+            subs.append(SubSystem(A, b))
+        sys_ = SwitchedSystem(tuple(subs))
+        taus = (10.0 ** rng.uniform(-8.0, 1.0, size=k)).tolist()
+        if overflow:
+            taus[rng.integers(k)] = 1e3
+        pairs = [(int(rng.integers(1, m + 1)), tau) for tau in taus]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = segment_map(sys_, pairs)
+            want = [segment_reference(sys_.subsystem(i), tau)
+                    for i, tau in pairs]
+        assert len(got) == k
+        for g, w in zip(got, want):
+            assert np.array_equal(g.M, w.M, equal_nan=True)
+            assert np.array_equal(g.v, w.v, equal_nan=True)
+        if overflow:
+            assert not all(np.isfinite(g.M).all() for g in got)
+
+    @staticmethod
+    def assert_equals_reference(sys_, sig, x0, t_end, dt):
+        try:
+            traj = simulate(sys_, sig, x0, t_end, dt)
+        except DivergenceError as exc:
+            traj = exc.trajectory
+        times, states, active = simulate_reference(sys_, sig, x0, t_end, dt)
+        rows = len(traj.times)
+        assert rows > 1
+        assert np.array_equal(traj.times, times[:rows])
+        assert np.array_equal(traj.states, states[:rows])
+        assert np.array_equal(traj.active, active[:rows])
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 3), segments=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_orbit_equals_step_by_step(self, n, m, segments, seed):
+        # the 200-sample orbit of limit_cycle
+        rng = np.random.default_rng(seed)
+        sys_ = random_switched_system(rng, n, m, affine=True)
+        sig = PeriodicSignal(tuple(
+            Segment(int(rng.integers(1, m + 1)), float(rng.uniform(0.05, 1.0)))
+            for _ in range(segments)))
+        self.assert_equals_reference(sys_, sig, rng.normal(size=n),
+                                     sig.period, sig.period / 200)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 4), periods=st.integers(2, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_repeated_offsets_equal_step_by_step(self, n, periods, seed):
+        # dt divides the period, so the sample offsets repeat every period
+        # and each distinct partial map is built once
+        rng = np.random.default_rng(seed)
+        sys_ = random_switched_system(rng, n, 2, affine=True)
+        sig = PeriodicSignal((Segment(1, 0.3), Segment(2, 0.2)))
+        built = []
+
+        def recording(system, pairs):
+            built.append(len(pairs))
+            return segment_map(system, pairs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate_module, "segment_map", recording)
+            self.assert_equals_reference(sys_, sig, rng.normal(size=n),
+                                         periods * sig.period, 0.05)
+        # one call: the 2 full maps, then the 9 distinct offsets, one of
+        # them a round-off sliver past a switch
+        assert built[0] == 2 + 9 and len(built) == 1
 
 
 class TestPoincareMap:

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swstab import presets, synthesis
-from swstab.linalg import spectral_abscissa
+from swstab import linalg
+from swstab.linalg import NumericalError, spectral_abscissa, spectral_radius
 from swstab.model import SubSystem, SwitchedSystem, Weights
 from swstab.signals import activation_fractions, from_weights
 from swstab.simulate import MAX_STEPS
-from swstab.stability import is_ici_stable
+from swstab.stability import is_ici_stable, monodromy
 from swstab.synthesis import (MAX_GRID_ENTRIES, default_eta_max,
                               find_stable_combination, max_stable_eta)
 from conftest import expm_radius, random_stable_pair, shear_pair
@@ -131,6 +132,50 @@ class TestStackedScan:
         assert result.evaluations == evaluations
 
 
+class TestLeanAbscissae:
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 5), n=st.integers(1, 5), k=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_eigvals(self, m, n, k, seed):
+        rng = np.random.default_rng(seed)
+        flat = rng.normal(size=(m, n * n))
+        alphas = rng.dirichlet(np.ones(m), size=k)
+        mats = (alphas[:, None, :] @ flat).reshape(-1, n, n)
+        assert np.array_equal(synthesis._abscissae(alphas, flat, n),
+                              np.linalg.eigvals(mats).real.max(-1))
+
+    @staticmethod
+    def failing_lapack(monkeypatch):
+        """LAPACK that does not converge on the last matrix it is given,
+        which numpy reports as NaN eigenvalues."""
+        eigvals = linalg._eigvals
+
+        def failing(M, signature):
+            w = eigvals(M, signature=signature)
+            w[-1] = np.nan
+            return w
+        monkeypatch.setattr(linalg, "_eigvals", failing)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        self.failing_lapack(monkeypatch)
+        flat = np.random.default_rng(0).normal(size=(2, 9))
+        with pytest.raises(NumericalError, match="did not converge"):
+            synthesis._abscissae(np.array([[0.5, 0.5], [0.2, 0.8]]), flat, 3)
+        with pytest.raises(NumericalError, match="did not converge"):
+            find_stable_combination([presets.A1, presets.A2], resolution=0.1)
+
+    def test_beyond_bound_takes_checked_path(self, monkeypatch):
+        def lean(*args):
+            raise AssertionError("lean evaluator used beyond its bound")
+        monkeypatch.setattr(synthesis, "_abscissae", lean)
+        big = 2.0 * synthesis._LEAN_BOUND
+        matrices = [np.array([[-big, 1.0], [0.0, -1.0]]),
+                    np.array([[1.0, 0.0], [big, -big]])]
+        result = find_stable_combination(matrices, resolution=0.25)
+        mix = sum(a * M for a, M in zip(result.weights.alpha, matrices))
+        assert result.abscissa == spectral_abscissa(mix)
+
+
 def scipy_nelder_mead(flat, n, x0, maxiter=2000):
     """scipy's Nelder-Mead from x0 on the one-row objective that
     _nelder_mead evaluates.  Returns scipy's result and the weight rows the
@@ -187,7 +232,8 @@ def evaluated_rows(call):
 def families(draw):
     """Random families, and tie-heavy ones: repeated matrices, commuting
     diagonal families and scalar multiples of one matrix."""
-    m, n = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    # m >= 8 weights are normalised with numpy's pairwise sum
+    m, n = draw(st.integers(2, 9)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["random", "repeated", "diagonal", "scalar"]))
     if kind == "random":
@@ -198,7 +244,7 @@ def families(draw):
         mats = np.stack([np.diag(d) for d in rng.integers(-3, 3, size=(m, n))])
     else:
         mats = rng.integers(-3, 4, size=(m, 1, 1)) * rng.normal(size=(n, n))
-    steps = draw(st.integers(1, 6 if m <= 3 else 3))
+    steps = draw(st.integers(1, 6 if m <= 3 else 3 if m <= 5 else 2))
     return list(mats.astype(float)), 1.0 / steps
 
 
@@ -425,6 +471,38 @@ class TestMaxStableEta:
                               grid_points=80, refine_tol=tol)
         assert fine.eta_star >= coarse.eta_star - tol
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 3), k=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_grid_radii_equal_per_eta(self, n, m, k, seed):
+        # one stacked exponential and eigenvalue call give the radii of one
+        # monodromy each; etas up to 1e3 overflow some of them
+        rng = np.random.default_rng(seed)
+        subs = tuple(SubSystem(rng.normal(size=(n, n)), rng.normal(size=n))
+                     for _ in range(m))
+        sys_ = SwitchedSystem(subs)
+        alpha = rng.dirichlet(np.ones(m))
+        alpha[rng.random(m) < 0.3] = 0.0
+        if not alpha.any():
+            alpha[0] = 1.0
+        w = Weights(alpha / alpha.sum(), 1.0)
+        etas = sorted((10.0 ** rng.uniform(-3.0, 3.0, size=k)).tolist())
+        want = []
+        for eta in etas:
+            Phi = monodromy(sys_, from_weights(w, eta))
+            want.append(spectral_radius(Phi) if np.isfinite(Phi).all()
+                        else np.inf)
+        assert synthesis._grid_radii(sys_, w, etas) == want
+
+    def test_grid_of_several_blocks_equals_per_eta(self, example1):
+        points = synthesis._ETA_BLOCK + 7
+        result = max_stable_eta(example1, self.HALF4, eta_max=5.0,
+                                grid_points=points)
+        assert len(result.grid) == points
+        for eta, rho in result.grid:
+            Phi = monodromy(example1, from_weights(self.HALF4, eta))
+            assert rho == spectral_radius(Phi)
+
     def test_default_eta_max_positive(self, example1):
         assert default_eta_max(example1, self.HALF4) > 0.0
 
@@ -441,6 +519,7 @@ class TestMaxStableEta:
         def no_monodromy(*args):
             raise AssertionError("monodromy computed for a refused grid")
         monkeypatch.setattr(synthesis, "monodromy", no_monodromy)
+        monkeypatch.setattr(synthesis, "poincare_maps", no_monodromy)
         with pytest.raises(ValueError, match="MAX_STEPS"):
             max_stable_eta(example1, self.HALF4, grid_points=MAX_STEPS + 1)
         synthesis.check_eta_search(None, MAX_STEPS, 1e-3)
