@@ -150,6 +150,19 @@ def _abscissae(alphas: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
     return vals
 
 
+def _sum(values: list) -> float:
+    """np.sum of a list of floats, bit for bit: below 8 values numpy adds
+    them left to right from 0, which a Python loop does too (not the
+    builtin sum, which Python 3.12 compensates); from 8 on numpy sums
+    pairwise, and numpy does the sum."""
+    if len(values) >= 8:
+        return float(np.add.reduce(values))
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray, evaluate=None):
     """Minimise the abscissa at weights |z| / sum|z| over z, from x0.
 
@@ -163,13 +176,12 @@ def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray, evaluate=None):
     evaluation; a point with sum|z| = 0 has value +inf and is not counted.
     A point whose sum|z| overflows goes to _checked_abscissae.
 
-    The simplex is kept in Python floats: scipy's numpy expressions act
-    elementwise, so each gives the same double in Python, and the
-    centroid's np.add.reduce over axis 0 adds the rows in order from 0.
-    Three steps stay in numpy: the weights |z| / sum|z| (numpy sums 8 or
-    more values pairwise), np.argsort (which need not keep ties in order)
-    and the bytes of the repeat key (a float comparison equates 0.0 and
-    -0.0).
+    The simplex and the weights are kept in Python floats: scipy's numpy
+    expressions act elementwise, so each gives the same double in Python;
+    the centroid's np.add.reduce over axis 0 adds the rows in order from 0,
+    and sum|z| is _sum.  Two steps stay in numpy: np.argsort (which need
+    not keep ties in order) and the bytes of the repeat key (a float
+    comparison equates 0.0 and -0.0).
 
     Where the stopping rule cannot fire, the sorted simplex and its values
     often come to repeat bit for bit: at a coalescing eigenvalue the
@@ -189,12 +201,12 @@ def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray, evaluate=None):
 
     def f(z: list) -> float:
         nonlocal evaluations
-        az = np.abs(z)
-        s = az.sum()
+        az = [abs(v) for v in z]
+        s = _sum(az)
         if s <= 0.0:
             return math.inf
         evaluations += 1
-        weights = (az / s)[None]
+        weights = np.array([[a / s for a in az]])
         if s < math.inf:
             return float(evaluate(weights, flat, n)[0])
         return float(_checked_abscissae(weights, flat, n)[0])

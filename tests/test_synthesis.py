@@ -144,6 +144,13 @@ class TestLeanAbscissae:
         assert np.array_equal(synthesis._abscissae(alphas, flat, n),
                               np.linalg.eigvals(mats).real.max(-1))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 1e-16, 3e-17, 1.0, 0.5, 1e300])
+                    | st.floats(0.0, 1e10), min_size=1, max_size=20))
+    def test_weight_sum_is_numpys(self, values):
+        # the refinement's sum|z| has the bits of np.sum at every length
+        assert synthesis._sum(values) == np.sum(np.array(values))
+
     @staticmethod
     def failing_lapack(monkeypatch):
         """LAPACK that does not converge on the last matrix it is given,
