@@ -28,6 +28,9 @@ GUARD_ROWS = 256
 # A block whose squared norms stay below this is clear of the guard: the
 # margin covers the rounding difference between a row sum and x.dot(x).
 _GUARD_CLEAR = DIVERGENCE_GUARD ** 2 * (1.0 - 1e-9)
+# Samples whose new partial-step maps simulate builds with one segment_map
+# call; a trajectory that diverges wastes at most this many.
+PLAN_ROWS = 256
 # Most steps one call may take: samples plus segment crossings for
 # simulate, closed-loop steps for simulate_norm_min.  Also the cap on the
 # command line's --circle initial conditions and on max_stable_eta's
@@ -206,9 +209,9 @@ def _guard(x: np.ndarray, t: float, times: np.ndarray, states: np.ndarray,
 
 
 def _walk(durations: list[float], sample_times: list[float]):
-    """For each sample time, in order: the segments crossed since the last
-    sample as (position, end time) pairs, then the position of the segment
-    holding the sample and the sample's offset into it."""
+    """For each sample time, in order: the time, the segments crossed since
+    the last sample as (position, end time) pairs, then the position of the
+    segment holding the sample and the sample's offset into it."""
     seg_pos = 0              # position within the segment list
     t_seg = 0.0              # start time of the current segment
     for t_s in sample_times:
@@ -218,7 +221,7 @@ def _walk(durations: list[float], sample_times: list[float]):
             t_seg += durations[seg_pos]
             crossed.append((seg_pos, t_seg))
             seg_pos = (seg_pos + 1) % len(durations)
-        yield crossed, seg_pos, t_s - t_seg
+        yield t_s, crossed, seg_pos, t_s - t_seg
 
 
 def simulate(sys: SwitchedSystem, sig: PeriodicSignal, x0: np.ndarray,
@@ -229,10 +232,11 @@ def simulate(sys: SwitchedSystem, sig: PeriodicSignal, x0: np.ndarray,
     inside a segment use a partial-duration exact step.  Each sample is
     labelled with the segment the walk is propagating, so a sample at a
     switching instant reads the segment that begins there.  The walk is
-    planned first: one segment_map call builds the full-segment maps and
-    one partial map per distinct (segment, offset rounded to 1e-12) pair,
-    and the propagation replays the walk with them.  More than MAX_STEPS
-    samples plus segment crossings raises ValueError up front.
+    planned PLAN_ROWS samples ahead: one segment_map call builds the maps
+    the block needs that no earlier block built (the full-segment maps,
+    then one partial map per distinct (segment, offset rounded to 1e-12)
+    pair), and the block is then propagated.  More than MAX_STEPS samples
+    plus segment crossings raises ValueError up front.
     """
     check_simulation(t_end, sample_dt, sig)
 
@@ -241,32 +245,37 @@ def simulate(sys: SwitchedSystem, sig: PeriodicSignal, x0: np.ndarray,
     if not sample_times or sample_times[-1] < t_end - 1e-9 * t_end:
         sample_times.append(t_end)
 
-    # the full segments, then the first offset met of each partial key
-    durations = [dur for _, dur in sig.segments]
-    pairs = list(sig.segments)
-    partial: dict[tuple[int, float], int] = {}
-    for _, seg_pos, tau in _walk(durations, sample_times):
-        key = (seg_pos, round(tau, 12))
-        if tau > 0.0 and key not in partial:
-            partial[key] = len(pairs)
-            pairs.append((sig.segments[seg_pos].index, tau))
-    maps = segment_map(sys, pairs)
-
     x = linalg.as_vector(x0).copy()
     times = np.array([0.0] + sample_times)
     states = np.empty((len(times), x.size))
     active = np.empty(len(times), dtype=int)
     states[0] = x
     active[0] = sig.segments[0].index
-    for row, (t_s, (crossed, seg_pos, tau)) in enumerate(
-            zip(sample_times, _walk(durations, sample_times)), start=1):
-        for pos, t_seg in crossed:
-            x = maps[pos](x)
-            _guard(x, t_seg, times, states, active, row)
-        x_s = maps[partial[seg_pos, round(tau, 12)]](x) if tau > 0.0 else x
-        _guard(x_s, t_s, times, states, active, row)
-        states[row] = x_s
-        active[row] = sig.segments[seg_pos].index
+
+    # map positions: the full segments first, then the first offset met of
+    # each partial key
+    partial: dict[tuple[int, float], int] = {}
+    maps: list[AffineMap] = []
+    pending = list(sig.segments)
+    walk = _walk([dur for _, dur in sig.segments], sample_times)
+    for first in range(1, len(times), PLAN_ROWS):
+        block = [step for _, step in zip(range(PLAN_ROWS), walk)]
+        for _, _, seg_pos, tau in block:
+            key = (seg_pos, round(tau, 12))
+            if tau > 0.0 and key not in partial:
+                partial[key] = len(maps) + len(pending)
+                pending.append((sig.segments[seg_pos].index, tau))
+        if pending:
+            maps += segment_map(sys, pending)
+            pending = []
+        for row, (t_s, crossed, seg_pos, tau) in enumerate(block, start=first):
+            for pos, t_seg in crossed:
+                x = maps[pos](x)
+                _guard(x, t_seg, times, states, active, row)
+            x_s = maps[partial[seg_pos, round(tau, 12)]](x) if tau > 0.0 else x
+            _guard(x_s, t_s, times, states, active, row)
+            states[row] = x_s
+            active[row] = sig.segments[seg_pos].index
 
     return Trajectory(times, states, active)
 

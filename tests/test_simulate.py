@@ -12,7 +12,8 @@ from swstab.model import SubSystem, SwitchedSystem, Weights, average_system
 from swstab.signals import (NormMinPolicy, PeriodicSignal, Segment,
                             example_signal, shift)
 from swstab.simulate import (CSV_BLOCK_ROWS, DIVERGENCE_GUARD, GUARD_ROWS,
-                             AffineMap, DivergenceError, NoAttractingCycleError,
+                             PLAN_ROWS, AffineMap, DivergenceError,
+                             NoAttractingCycleError,
                              Trajectory, limit_cycle, poincare_map,
                              segment_map, simulate, simulate_norm_min)
 from swstab.stability import monodromy
@@ -352,6 +353,48 @@ class TestStackedPropagation:
         # one call: the 2 full maps, then the 9 distinct offsets, one of
         # them a round-off sliver past a switch
         assert built[0] == 2 + 9 and len(built) == 1
+
+    @staticmethod
+    def recorded_calls(call):
+        """call(), and the number of maps each segment_map call built."""
+        built = []
+
+        def recording(system, pairs):
+            built.append(len(pairs))
+            return segment_map(system, pairs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate_module, "segment_map", recording)
+            call()
+        return built
+
+    def test_block_plans_equal_step_by_step(self):
+        # an irrational period: nearly every one of the 778 samples has an
+        # offset of its own, built PLAN_ROWS samples at a time
+        rng = np.random.default_rng(5)
+        sys_ = SwitchedSystem(tuple(
+            SubSystem(0.2 * rng.normal(size=(2, 2)) - np.eye(2),
+                      rng.normal(size=2)) for _ in range(2)))
+        sig = PeriodicSignal((Segment(1, 0.3), Segment(2, 0.2 * np.sqrt(2))))
+        t_end = (3 * PLAN_ROWS + 10) * 0.05
+        built = self.recorded_calls(lambda: self.assert_equals_reference(
+            sys_, sig, rng.normal(size=2), t_end, 0.05))
+        assert len(built) == 4 and sum(built) <= 2 + 778
+
+    def test_divergence_stops_the_plan(self):
+        # the state passes the guard near t = 9.2, inside the first block:
+        # the maps of the later blocks are never built
+        sub = SubSystem(3.0 * np.eye(2), np.zeros(2))
+        sys_ = SwitchedSystem((sub, sub))
+        sig = PeriodicSignal((Segment(1, 0.3), Segment(2, 0.2 * np.sqrt(2))))
+
+        def run():
+            with pytest.raises(DivergenceError) as exc:
+                simulate(sys_, sig, np.ones(2), 3 * PLAN_ROWS * 0.05, 0.05)
+            assert exc.value.time < PLAN_ROWS * 0.05
+
+        built = self.recorded_calls(run)
+        assert len(built) == 1 and built[0] <= 2 + PLAN_ROWS
 
 
 class TestPoincareMap:
