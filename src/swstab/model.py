@@ -108,8 +108,9 @@ class Weights:
             raise ValueError(f"weights must be nonnegative, got {a}")
         if abs(float(a.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1, got sum {a.sum()!r}")
-        if not self.period > 0.0:
-            raise ValueError(f"period must be positive, got {self.period}")
+        if not (self.period > 0.0 and math.isfinite(self.period)):
+            raise ValueError(f"period must be finite and positive, "
+                             f"got {self.period}")
         object.__setattr__(self, "alpha", _freeze(a))
         object.__setattr__(self, "period", float(self.period))
 

@@ -8,6 +8,7 @@ no generic ODE stepper is involved anywhere.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -19,23 +20,20 @@ from .model import (EquilibriumError, SwitchedSystem, average_system,
 from .signals import NormMinPolicy, PeriodicSignal, activation_fractions
 
 DIVERGENCE_GUARD = 1e12
-# Rows formatted by one % in write_table; larger blocks raise peak memory
-# without writing faster.
-CSV_BLOCK_ROWS = 256
-# New states simulate_norm_min checks against DIVERGENCE_GUARD with one
-# vectorised norm test; an escape costs at most GUARD_ROWS - 1 wasted steps.
-GUARD_ROWS = 256
 # A block whose squared norms stay below this is clear of the guard: the
 # margin covers the rounding difference between a row sum and x.dot(x).
 _GUARD_CLEAR = DIVERGENCE_GUARD ** 2 * (1.0 - 1e-9)
-# Samples whose new partial-step maps simulate builds with one segment_map
-# call; a trajectory that diverges wastes at most this many.
-PLAN_ROWS = 256
 # Most steps one call may take: samples plus segment crossings for
 # simulate, closed-loop steps for simulate_norm_min.  Also the cap on the
 # command line's --circle initial conditions and on max_stable_eta's
 # grid_points.
 MAX_STEPS = 1_000_000
+# Rows each batched loop handles per call: write_table's rows, simulate's
+# planned samples, simulate_norm_min's guard checks, the simplex scan and
+# the eta grid.  A larger batch pays per-call overhead less often, but
+# holds more in memory and wastes more work after a divergence; no output
+# depends on the value.
+BLOCK_ROWS = 256
 
 
 class DivergenceError(Exception):
@@ -61,13 +59,13 @@ def write_table(fh, names: list[str], rows: np.ndarray) -> None:
 
     The bytes are those of np.savetxt(fh, rows, fmt="%.12g", delimiter=",",
     header=",".join(names), comments=""); the rows are formatted
-    CSV_BLOCK_ROWS at a time with one % each, not one call per row.
+    BLOCK_ROWS at a time with one % each, not one call per row.
     """
     rows = np.asarray(rows, dtype=float)
     fh.write(",".join(names) + "\n")
     line = ",".join(["%.12g"] * rows.shape[1]) + "\n"
-    for start in range(0, len(rows), CSV_BLOCK_ROWS):
-        block = rows[start:start + CSV_BLOCK_ROWS]
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = rows[start:start + BLOCK_ROWS]
         fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
@@ -232,7 +230,7 @@ def simulate(sys: SwitchedSystem, sig: PeriodicSignal, x0: np.ndarray,
     inside a segment use a partial-duration exact step.  Each sample is
     labelled with the segment the walk is propagating, so a sample at a
     switching instant reads the segment that begins there.  The walk is
-    planned PLAN_ROWS samples ahead: one segment_map call builds the maps
+    planned BLOCK_ROWS samples ahead: one segment_map call builds the maps
     the block needs that no earlier block built (the full-segment maps,
     then one partial map per distinct (segment, offset rounded to 1e-12)
     pair), and the block is then propagated.  More than MAX_STEPS samples
@@ -258,8 +256,8 @@ def simulate(sys: SwitchedSystem, sig: PeriodicSignal, x0: np.ndarray,
     maps: list[AffineMap] = []
     pending = list(sig.segments)
     walk = _walk([dur for _, dur in sig.segments], sample_times)
-    for first in range(1, len(times), PLAN_ROWS):
-        block = [step for _, step in zip(range(PLAN_ROWS), walk)]
+    for first in range(1, len(times), BLOCK_ROWS):
+        block = [step for _, step in zip(range(BLOCK_ROWS), walk)]
         for _, _, seg_pos, tau in block:
             key = (seg_pos, round(tau, 12))
             if tau > 0.0 and key not in partial:
@@ -294,7 +292,7 @@ def simulate_norm_min(sys: SwitchedSystem, x0: np.ndarray, t_end: float,
     On the tested OpenBLAS, ndarray.dot gives the bits of np.matmul and of
     the separate products (test_matches_reference_loop checks it).
 
-    The divergence guard is checked once per GUARD_ROWS new states, with
+    The divergence guard is checked once per BLOCK_ROWS new states, with
     one squared-norm test on the block; a block not clearly below
     DIVERGENCE_GUARD is walked row by row with _guard's exact formula, so
     the escape row, its time and the trajectory carried by DivergenceError
@@ -332,8 +330,8 @@ def simulate_norm_min(sys: SwitchedSystem, x0: np.ndarray, t_end: float,
     # the product also multiplies the step maps that are not selected; one
     # that overflowed must not warn, and a non-finite state trips the guard
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(1, n_steps + 1, GUARD_ROWS):
-            stop = min(first + GUARD_ROWS, n_steps + 1)
+        for first in range(1, n_steps + 1, BLOCK_ROWS):
+            stop = min(first + BLOCK_ROWS, n_steps + 1)
             for row in range(first, stop):
                 stacked.dot(x, out=product)
                 product += offsets
@@ -361,9 +359,16 @@ def limit_cycle(sys: SwitchedSystem, sig: PeriodicSignal,
     """Attracting periodic orbit of the one-period affine map.
 
     The fixed point is x* = (I - M)^{-1} v; the orbit is the exact
-    trajectory from x* over one period.  The practical radius measures the
-    orbit against the average-system equilibrium when that exists.
+    trajectory from x* over one period, sampled at orbit_samples equal
+    steps.  The practical radius measures the orbit against the
+    average-system equilibrium when that exists.  An orbit_samples that is
+    not an integer >= 1 (a bool included) raises ValueError before any work.
     """
+    if (isinstance(orbit_samples, bool)
+            or not isinstance(orbit_samples, numbers.Integral)
+            or orbit_samples < 1):
+        raise ValueError(f"orbit_samples must be an integer >= 1, "
+                         f"got {orbit_samples!r}")
     pm = poincare_map(sys, sig)
     rho = linalg.spectral_radius(pm.M)
     if rho >= 1.0:

@@ -12,7 +12,7 @@ import numpy as np
 from . import linalg
 from .model import SwitchedSystem, Weights, average_system
 from .signals import from_weights
-from .simulate import MAX_STEPS, poincare_maps
+from .simulate import BLOCK_ROWS, MAX_STEPS, poincare_maps
 from .stability import monodromy
 
 
@@ -55,13 +55,9 @@ class EtaSearchResult:
         }
 
 
-# Grid points whose abscissae one stacked eigenvalue call computes.
-_SCAN_BLOCK = 256
 # Largest |entry| of the matrices for which the lean _abscissae runs: no
 # convex combination of them, rounding included, overflows.
 _LEAN_BOUND = np.finfo(float).max / 4
-# eta grid points whose monodromies one stacked exponential computes.
-_ETA_BLOCK = 256
 # Most simplex-grid entries (points x weights) a scan may hold: 100 MB.
 MAX_GRID_ENTRIES = 12_500_000
 # Simplex-grid spacing when none is given; default_resolution coarsens it.
@@ -314,8 +310,8 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
 
     grid = _simplex_grid(m, steps)
     with np.errstate(invalid="ignore"):
-        vals = np.concatenate([evaluate(grid[k:k + _SCAN_BLOCK], flat, n)
-                               for k in range(0, len(grid), _SCAN_BLOCK)])
+        vals = np.concatenate([evaluate(grid[k:k + BLOCK_ROWS], flat, n)
+                               for k in range(0, len(grid), BLOCK_ROWS)])
     best = int(np.argmin(vals))
     best_alpha, best_val = grid[best], float(vals[best])
     evaluations = len(grid)
@@ -350,7 +346,7 @@ def check_eta_search(eta_max: Optional[float], grid_points: int,
     """Refuse max_stable_eta options it cannot work with (ValueError)."""
     if eta_max is not None and not (math.isfinite(eta_max) and eta_max > 0.0):
         raise ValueError(f"eta_max must be finite and > 0, got {eta_max}")
-    # each grid point is one monodromy, and the grid one array of floats
+    # the grid and its radii are lists of grid_points floats
     if not 1 <= grid_points <= MAX_STEPS:
         raise ValueError(f"grid_points must be between 1 and MAX_STEPS = "
                          f"{MAX_STEPS}, got {grid_points}")
@@ -358,19 +354,27 @@ def check_eta_search(eta_max: Optional[float], grid_points: int,
         raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol}")
 
 
-def _grid_radii(sys: SwitchedSystem, w: Weights,
-                etas: list[float]) -> list[float]:
-    """rho(Phi(eta)) for each eta, inf where Phi overflows: the monodromies
-    come from one stacked exponential, the radii from one stacked
-    eigenvalue call, each with the bits of its own monodromy and
-    linalg.spectral_radius call."""
-    sigs = [from_weights(w, eta) for eta in etas]
-    Phis = np.stack([pm.M for pm in poincare_maps(sys, sigs)])
+def _radii(Phis: np.ndarray) -> list[float]:
+    """Spectral radius of each monodromy in a (k, n, n) stack, each with the
+    bits of its own linalg.spectral_radius call; a Phi that is not finite
+    has overflowed and is unstable, with radius inf."""
     finite = np.isfinite(Phis).all(axis=(1, 2))
-    radii = np.full(len(etas), math.inf)
+    radii = np.full(len(Phis), math.inf)
     if finite.any():
         radii[finite] = np.abs(linalg.spectrum(Phis[finite])).max(axis=-1)
     return radii.tolist()
+
+
+def _grid_radii(sys: SwitchedSystem, w: Weights,
+                etas: list[float]) -> list[float]:
+    """rho(Phi(eta)) for each eta by _radii, BLOCK_ROWS etas at a time: one
+    stacked exponential builds a block's monodromies, each with the bits
+    of its own monodromy call."""
+    radii = []
+    for k in range(0, len(etas), BLOCK_ROWS):
+        sigs = [from_weights(w, eta) for eta in etas[k:k + BLOCK_ROWS]]
+        radii += _radii(np.stack([pm.M for pm in poincare_maps(sys, sigs)]))
+    return radii
 
 
 def max_stable_eta(sys: SwitchedSystem, w: Weights,
@@ -383,13 +387,16 @@ def max_stable_eta(sys: SwitchedSystem, w: Weights,
     by bisection between the last stable and first unstable grid points.
     rho need not be monotone in eta, so stable islands beyond the first
     instability show up in the grid but never extend eta_star.  An eta
-    whose monodromy overflows is unstable, with rho recorded as inf.  The
+    whose monodromy overflows is unstable, with rho recorded as inf; that
+    rule lives in _radii, which both the grid and the bisection use.  The
     bisection runs until its bracket is at most refine_tol wide and it has
     found a stable eta, so eta_star > 0; it also ends when no float lies
-    strictly between its bounds.  The grid's monodromies come _ETA_BLOCK
+    strictly between its bounds.  The grid's monodromies come BLOCK_ROWS
     at a time from one stacked exponential (_grid_radii); the bisection
     computes one monodromy per step.
     Options that check_eta_search refuses raise ValueError before any work.
+    If rho stays >= 1 at every eta tried until a smaller eta would make a
+    dwell time underflow to 0, linalg.NumericalError is raised.
     """
     check_eta_search(eta_max, grid_points, refine_tol)
     if linalg.spectral_abscissa(average_system(sys, w).A) >= 0.0:
@@ -398,15 +405,8 @@ def max_stable_eta(sys: SwitchedSystem, w: Weights,
     if eta_max is None:
         eta_max = default_eta_max(sys, w)
 
-    def rho(eta: float) -> float:
-        Phi = monodromy(sys, from_weights(w, eta))
-        return linalg.spectral_radius(Phi) if np.isfinite(Phi).all() else math.inf
-
     etas = np.linspace(eta_max / grid_points, eta_max, grid_points).tolist()
-    radii = []
-    for k in range(0, len(etas), _ETA_BLOCK):
-        radii += _grid_radii(sys, w, etas[k:k + _ETA_BLOCK])
-    grid = tuple(zip(etas, radii))
+    grid = tuple(zip(etas, _grid_radii(sys, w, etas)))
 
     first_unstable = next((k for k, (_, r) in enumerate(grid) if r >= 1.0), None)
     if first_unstable is None:
@@ -414,11 +414,19 @@ def max_stable_eta(sys: SwitchedSystem, w: Weights,
 
     lo = 0.0 if first_unstable == 0 else grid[first_unstable - 1][0]
     hi = grid[first_unstable][0]
+    # the weight of the shortest dwell, eta * a_min * period in from_weights
+    a_min = min(a for a in w.alpha.tolist() if a > 0.0)
     while hi - lo > refine_tol or lo == 0.0:
         mid = 0.5 * (lo + hi)
+        # only while lo == 0: above a stable lo every dwell is positive
+        if not mid * a_min * w.period > 0.0:
+            raise linalg.NumericalError(
+                f"no stable eta found: rho(Phi) did not fall below 1 at any "
+                f"eta tried, down to eta = {hi:.6g}, and a smaller eta "
+                "would make a dwell time underflow to 0")
         if not lo < mid < hi:       # no float left between: tol too fine
             break
-        if rho(mid) < 1.0:
+        if _radii(monodromy(sys, from_weights(w, mid))[None])[0] < 1.0:
             lo = mid
         else:
             hi = mid

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -417,6 +418,26 @@ class TestSynthesize:
         eta = search["eta_star"]
         assert eta > 0.0
         assert expm_radius(mats, comb["alpha"], comb["period"], eta) < 1.0
+
+    @pytest.mark.parametrize("eta_max", ["1e-15", "1e-200"])
+    def test_no_stable_eta_is_numerical_failure(self, tmp_path, capsys,
+                                                eta_max):
+        # rho rounds to 1 on the whole grid; the bisection gives up before
+        # a dwell time underflows, after combination.json is written
+        sys_path = tmp_path / "s.json"
+        sys_path.write_text(json.dumps({"n": 2, "subsystems": [
+            {"A": [[-1, 0], [0, -2]], "b": [1, 0]},
+            {"A": [[-3, 1], [0, -1]]}]}))
+        out = tmp_path / "out"
+        code = run_cli(["synthesize", "--system", sys_path,
+                        "--eta-max", eta_max, "--out", out])
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: no stable eta found")
+        assert "eta = 9.88131e-324" in err
+        comb = strict_json(out / "combination.json")
+        assert comb["alpha"] == pytest.approx([2 / 3, 1 / 3])
+        assert not (out / "eta_search.json").exists()
 
     def test_infeasible_returns_unstable(self, tmp_path):
         sys_path = tmp_path / "s.json"
@@ -848,6 +869,103 @@ class TestParserReuse:
         assert together == alone
         assert sorted(alone[1]) == ["normmin.json", "trajectory_00.csv",
                                     "trajectory_01.csv"]
+
+
+class TestBlockRows:
+    """No output depends on simulate.BLOCK_ROWS, the batch size of every
+    stacked loop: the same runs at 1, 7 and 256 rows write the same
+    bytes."""
+
+    @staticmethod
+    def write_inputs(path):
+        """Two design systems (preset 1 and a seeded random 3x3, m = 3
+        system with unstable subsystems and a stable mean), an unstable
+        one for the diverging runs, and a signal for it."""
+        path.mkdir()
+        (path / "design_0.json").write_text(
+            json.dumps(system_to_dict(presets.example_1())))
+        rng = np.random.default_rng(4)
+        while True:
+            As, bs = rng.normal(size=(3, 3, 3)), rng.normal(size=(3, 3))
+            if (np.linalg.eigvals(As).real.max(axis=1).min() > 0.0
+                    and np.linalg.eigvals(As.mean(axis=0)).real.max() < -0.1):
+                break
+        (path / "design_1.json").write_text(json.dumps({"subsystems": [
+            {"A": A.tolist(), "b": b.tolist()} for A, b in zip(As, bs)]}))
+        (path / "unstable.json").write_text(json.dumps({"subsystems": [
+            {"A": [[3.0, 0.0], [0.0, 3.0]]}, {"A": [[3.0, 1.0], [0.0, 3.0]]}]}))
+        (path / "unstable_signal.json").write_text(json.dumps({"segments": [
+            {"index": 1, "duration": 0.3}, {"index": 2, "duration": 0.2}]}))
+
+    @staticmethod
+    def outputs(inputs, out):
+        """Exit code and the bytes of every file written, for each run."""
+        got = {}
+
+        def run(name, argv):
+            code = run_cli([*argv, "--out", out / name])
+            got[name] = code, {p.name: p.read_bytes()
+                               for p in sorted((out / name).iterdir())}
+
+        for k in range(2):
+            system = inputs / f"design_{k}.json"
+            run(f"synthesize_{k}", ["synthesize", "--system", system,
+                                    "--resolution", "0.02",
+                                    "--grid-points", "300"])
+            comb = json.loads((out / f"synthesize_{k}" /
+                               "combination.json").read_text())
+            search = json.loads((out / f"synthesize_{k}" /
+                                 "eta_search.json").read_text())
+            signal = out / f"signal_{k}.json"
+            signal.write_text(json.dumps({"segments": [
+                {"index": i + 1, "duration": a * comb["period"]}
+                for i, a in enumerate(comb["alpha"]) if a > 0.0]}))
+            for cmd in ("analyze", "cycle"):
+                run(f"{cmd}_{k}", [cmd, "--system", system, "--signal",
+                                   signal, "--eta",
+                                   repr(search["eta_star"] / 2)])
+        run("normmin", ["normmin", "--system", inputs / "design_0.json",
+                        "--x0", "1,0", "--t-end", "30", "--dt", "0.1"])
+        run("simulate_diverging", [
+            "simulate", "--system", inputs / "unstable.json", "--signal",
+            inputs / "unstable_signal.json", "--x0", "1,0", "--t-end", "30",
+            "--dt", "0.05"])
+        # the norm passes the guard at step 93 of 95, in a last block that
+        # is partial at 7 and at 256 rows
+        run("normmin_diverging", [
+            "normmin", "--system", inputs / "unstable.json", "--x0", "1,0",
+            "--t-end", "9.5", "--dt", "0.1"])
+        return got
+
+    def test_outputs_do_not_depend_on_block_rows(self, tmp_path,
+                                                 monkeypatch):
+        modules = [mod for name, mod in list(sys.modules.items())
+                   if name.startswith("swstab.") and hasattr(mod, "BLOCK_ROWS")]
+        assert {"swstab.simulate", "swstab.synthesis"} <= {
+            mod.__name__ for mod in modules}
+        self.write_inputs(tmp_path / "in")
+        runs = {}
+        for rows in (1, 7, 256):
+            for mod in modules:
+                monkeypatch.setattr(mod, "BLOCK_ROWS", rows)
+            # the same output paths each time: the reports name them
+            shutil.rmtree(tmp_path / "out", ignore_errors=True)
+            runs[rows] = self.outputs(tmp_path / "in", tmp_path / "out")
+        assert runs[1] == runs[256]
+        assert runs[7] == runs[256]
+        got = runs[256]
+        assert {name: code for name, (code, _) in got.items()} == {
+            "synthesize_0": cli.EXIT_OK, "synthesize_1": cli.EXIT_OK,
+            "analyze_0": cli.EXIT_OK, "analyze_1": cli.EXIT_OK,
+            "cycle_0": cli.EXIT_OK, "cycle_1": cli.EXIT_OK,
+            "normmin": cli.EXIT_OK, "simulate_diverging": cli.EXIT_UNSTABLE,
+            "normmin_diverging": cli.EXIT_UNSTABLE}
+        # the eta grid spans two blocks of 256, and each search bisects
+        for k in range(2):
+            search = json.loads(got[f"synthesize_{k}"][1]["eta_search.json"])
+            assert len(search["grid"]) == 300
+            assert search["eta_star"] < search["grid"][-1]["eta"]
+        assert got["normmin"][1]["trajectory_00.csv"].count(b"\n") == 302
 
 
 def test_cli_import_leaves_out_scipy_optimize():

@@ -39,6 +39,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             Weights(np.array([1.0]), 0.0)
 
+    @pytest.mark.parametrize("period", [np.inf, -np.inf, np.nan])
+    def test_non_finite_period_refused(self, period):
+        with pytest.raises(ValueError, match="period must be finite"):
+            Weights(np.array([0.5, 0.5]), period)
+
     def test_zero_weight_allowed(self):
         w = Weights(np.array([1.0, 0.0]), 1.0)
         assert w.alpha[1] == 0.0

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from swstab.model import SubSystem, SwitchedSystem, Weights, average_system
 from swstab.signals import (NormMinPolicy, PeriodicSignal, Segment,
                             example_signal, shift)
-from swstab.simulate import (CSV_BLOCK_ROWS, DIVERGENCE_GUARD, GUARD_ROWS,
-                             PLAN_ROWS, AffineMap, DivergenceError,
-                             NoAttractingCycleError,
+from swstab.simulate import (BLOCK_ROWS, DIVERGENCE_GUARD, AffineMap,
+                             DivergenceError, NoAttractingCycleError,
                              Trajectory, limit_cycle, poincare_map,
                              segment_map, simulate, simulate_norm_min)
 from swstab.stability import monodromy
@@ -240,7 +239,7 @@ class TestSimulate:
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 5),
-           rows=st.sampled_from([1, 255, 256, 257, 3 * CSV_BLOCK_ROWS + 7]),
+           rows=st.sampled_from([1, 255, 256, 257, 3 * BLOCK_ROWS + 7]),
            offset=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
     def test_csv_bytes_equal_savetxt(self, n, rows, offset, seed):
         rng = np.random.default_rng(seed)
@@ -370,13 +369,13 @@ class TestStackedPropagation:
 
     def test_block_plans_equal_step_by_step(self):
         # an irrational period: nearly every one of the 778 samples has an
-        # offset of its own, built PLAN_ROWS samples at a time
+        # offset of its own, built BLOCK_ROWS samples at a time
         rng = np.random.default_rng(5)
         sys_ = SwitchedSystem(tuple(
             SubSystem(0.2 * rng.normal(size=(2, 2)) - np.eye(2),
                       rng.normal(size=2)) for _ in range(2)))
         sig = PeriodicSignal((Segment(1, 0.3), Segment(2, 0.2 * np.sqrt(2))))
-        t_end = (3 * PLAN_ROWS + 10) * 0.05
+        t_end = (3 * BLOCK_ROWS + 10) * 0.05
         built = self.recorded_calls(lambda: self.assert_equals_reference(
             sys_, sig, rng.normal(size=2), t_end, 0.05))
         assert len(built) == 4 and sum(built) <= 2 + 778
@@ -390,11 +389,11 @@ class TestStackedPropagation:
 
         def run():
             with pytest.raises(DivergenceError) as exc:
-                simulate(sys_, sig, np.ones(2), 3 * PLAN_ROWS * 0.05, 0.05)
-            assert exc.value.time < PLAN_ROWS * 0.05
+                simulate(sys_, sig, np.ones(2), 3 * BLOCK_ROWS * 0.05, 0.05)
+            assert exc.value.time < BLOCK_ROWS * 0.05
 
         built = self.recorded_calls(run)
-        assert len(built) == 1 and built[0] <= 2 + PLAN_ROWS
+        assert len(built) == 1 and built[0] <= 2 + BLOCK_ROWS
 
 
 class TestPoincareMap:
@@ -447,6 +446,21 @@ class TestLimitCycle:
     def test_no_contraction_rejected(self, example2):
         with pytest.raises(NoAttractingCycleError):
             limit_cycle(example2, example_signal(2.0))
+
+    @pytest.mark.parametrize("samples", [0, -3, 2.5, 1.0, True, "200", None])
+    def test_bad_orbit_samples_refused_first(self, example2, samples,
+                                             monkeypatch):
+        # refused before the period map is computed
+        def no_map(*args):
+            raise AssertionError("period map computed for a refused count")
+        monkeypatch.setattr(simulate_module, "poincare_map", no_map)
+        with pytest.raises(ValueError, match="orbit_samples"):
+            limit_cycle(example2, example_signal(0.5), orbit_samples=samples)
+
+    @pytest.mark.parametrize("samples", [1, np.int64(3)])
+    def test_integer_orbit_samples_accepted(self, example2, samples):
+        cyc = limit_cycle(example2, example_signal(0.5), orbit_samples=samples)
+        assert len(cyc.trajectory.times) == samples + 1
 
     def test_orbit_is_a_labelled_trajectory(self, example2):
         sig = example_signal(0.5)
@@ -613,7 +627,7 @@ class TestNormMin:
     # escapes on the last and first rows of a guard block (256, 257), and
     # on the final step; at h = 0.1, 300 * h differs from 299 * h + h
     @pytest.mark.parametrize("escape, t_end", [
-        (GUARD_ROWS, 60.0), (GUARD_ROWS + 1, 60.0), (300, 30.0)])
+        (BLOCK_ROWS, 60.0), (BLOCK_ROWS + 1, 60.0), (300, 30.0)])
     def test_block_guard_escape_row(self, escape, t_end):
         # from (1, 0) the norm is e^{a h k}: 1e12 is crossed half a step
         # before state `escape`, so the guard trips there and not sooner

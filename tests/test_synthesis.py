@@ -320,7 +320,7 @@ def assert_equals_scipy(matrices, resolution, maxiter=2000):
         len(matrices), synthesis._grid_steps(len(matrices), resolution)))
     # the scan's blocks, then one call per point the refinement evaluates,
     # in the order scipy's objective evaluates them
-    scan = -(-grid_size // synthesis._SCAN_BLOCK)
+    scan = -(-grid_size // synthesis.BLOCK_ROWS)
     assert sum(map(len, calls[:scan])) == grid_size
     assert calls[scan:] == [[row] for row in rows]
     assert np.array_equal(result.weights.alpha, alpha)
@@ -502,7 +502,7 @@ class TestMaxStableEta:
         assert synthesis._grid_radii(sys_, w, etas) == want
 
     def test_grid_of_several_blocks_equals_per_eta(self, example1):
-        points = synthesis._ETA_BLOCK + 7
+        points = synthesis.BLOCK_ROWS + 7
         result = max_stable_eta(example1, self.HALF4, eta_max=5.0,
                                 grid_points=points)
         assert len(result.grid) == points
@@ -550,6 +550,19 @@ class TestMaxStableEta:
         assert result.grid[0][1] >= 1.0 and not result.stable_prefix
         assert result.eta_star > 0.0
         assert expm_radius(mats, self.HALF1.alpha, 1.0, result.eta_star) < 1.0
+
+    @pytest.mark.parametrize("eta_max", [1e-15, 1e-200])
+    def test_no_stable_eta_before_underflow_is_numerical_error(self,
+                                                               eta_max):
+        # rho rounds to 1 at every eta of the grid, so the bisection halves
+        # toward 0; it stops before a dwell time underflows to 0
+        sys_ = SwitchedSystem((
+            SubSystem(np.diag([-1.0, -2.0]), np.array([1.0, 0.0])),
+            SubSystem(np.array([[-3.0, 1.0], [0.0, -1.0]]), np.zeros(2))))
+        w = Weights(np.array([2.0, 1.0]) / 3.0, 1.0)
+        with pytest.raises(NumericalError, match=r"rho\(Phi\) did not fall "
+                           r"below 1 .* eta = 9\.88131e-324"):
+            max_stable_eta(sys_, w, eta_max=eta_max)
 
     def test_tolerance_below_float_spacing_ends(self, example1):
         # the bisection stops once no float lies between its bounds
