@@ -108,13 +108,10 @@ def _parse_k_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
-def _initial_conditions(config: RunConfig, n: int) -> list[np.ndarray]:
-    points = [np.asarray(x, dtype=float) for x in config.x0]
-    for p in points:
-        if p.shape != (n,):
-            raise ValueError(f"initial condition {p.tolist()} has wrong dimension")
-        if not np.isfinite(p).all():
-            raise ValueError(f"initial condition {p.tolist()} is not finite")
+def _initial_conditions(config: RunConfig,
+                        sys_: SwitchedSystem) -> list[np.ndarray]:
+    n = sys_.n
+    points = [sys_.state(x) for x in config.x0]
     if config.circle is not None:
         if config.circle < 1:
             raise ValueError(f"--circle must be at least 1, got {config.circle}")
@@ -148,12 +145,12 @@ def _load_inputs(config: RunConfig) -> tuple[SwitchedSystem, Optional[PeriodicSi
     return sys_, sig
 
 
-def _run_trajectories(config: RunConfig, out: Path, n: int, propagate,
-                      report_name: str) -> int:
+def _run_trajectories(config: RunConfig, out: Path, sys_: SwitchedSystem,
+                      propagate, report_name: str) -> int:
     """Propagate every initial condition, keeping the partial trajectory of
     a divergent one, then write the CSVs and the summary report."""
     trajectories, diverged = [], []
-    for p in _initial_conditions(config, n):
+    for p in _initial_conditions(config, sys_):
         try:
             trajectories.append(propagate(p))
         except DivergenceError as exc:
@@ -215,7 +212,7 @@ def _cmd_synthesize(config: RunConfig, out: Path, sys_, sig) -> int:
 
 def _cmd_simulate(config: RunConfig, out: Path, sys_, sig) -> int:
     return _run_trajectories(
-        config, out, sys_.n,
+        config, out, sys_,
         lambda p: simulate(sys_, sig, p, config.t_end, config.sample_dt),
         "simulate.json")
 
@@ -236,7 +233,7 @@ def _cmd_cycle(config: RunConfig, out: Path, sys_, sig) -> int:
 def _cmd_normmin(config: RunConfig, out: Path, sys_, sig) -> int:
     policy = NormMinPolicy(config.sample_dt)
     return _run_trajectories(
-        config, out, sys_.n,
+        config, out, sys_,
         lambda p: simulate_norm_min(sys_, p, config.t_end, policy),
         "normmin.json")
 
@@ -245,7 +242,7 @@ def _cmd_example(config: RunConfig, out: Path, sys_, sig) -> int:
     if config.circle is None and not config.x0:
         config.circle = 8
     # refused before any output
-    _initial_conditions(config, sys_.n)
+    _initial_conditions(config, sys_)
     check_simulation(config.t_end, config.sample_dt, sig)
     steps = [_cmd_analyze, _cmd_simulate]
     if config.example == 2:

@@ -83,6 +83,18 @@ class SwitchedSystem:
                 f"signal references subsystem {index}, system has {self.m}")
         return self.subsystems[index - 1]
 
+    def state(self, x0) -> np.ndarray:
+        """x0 as a state of this system: a new finite float vector of
+        length n, or DimensionError (wrong length) or ValueError (an entry
+        not finite)."""
+        x = np.array(x0, dtype=float)
+        if x.shape != (self.n,):
+            raise DimensionError(
+                f"initial condition {x.tolist()} has wrong dimension")
+        if not np.isfinite(x).all():
+            raise ValueError(f"initial condition {x.tolist()} is not finite")
+        return x
+
     def linear_part(self) -> "SwitchedSystem":
         """The same system with every affine drift zeroed."""
         return SwitchedSystem(tuple(

@@ -234,7 +234,10 @@ def simulate(sys: SwitchedSystem, sig: PeriodicSignal, x0: np.ndarray,
     the block needs that no earlier block built (the full-segment maps,
     then one partial map per distinct (segment, offset rounded to 1e-12)
     pair), and the block is then propagated.  More than MAX_STEPS samples
-    plus segment crossings raises ValueError up front.
+    plus segment crossings raises ValueError up front, as does an x0 that
+    SwitchedSystem.state refuses.  As in poincare_maps, a map or a state
+    that overflows leaves inf or nan without a warning, and the divergence
+    guard classifies it.
     """
     check_simulation(t_end, sample_dt, sig)
 
@@ -243,7 +246,7 @@ def simulate(sys: SwitchedSystem, sig: PeriodicSignal, x0: np.ndarray,
     if not sample_times or sample_times[-1] < t_end - 1e-9 * t_end:
         sample_times.append(t_end)
 
-    x = linalg.as_vector(x0).copy()
+    x = sys.state(x0)
     times = np.array([0.0] + sample_times)
     states = np.empty((len(times), x.size))
     active = np.empty(len(times), dtype=int)
@@ -256,24 +259,27 @@ def simulate(sys: SwitchedSystem, sig: PeriodicSignal, x0: np.ndarray,
     maps: list[AffineMap] = []
     pending = list(sig.segments)
     walk = _walk([dur for _, dur in sig.segments], sample_times)
-    for first in range(1, len(times), BLOCK_ROWS):
-        block = [step for _, step in zip(range(BLOCK_ROWS), walk)]
-        for _, _, seg_pos, tau in block:
-            key = (seg_pos, round(tau, 12))
-            if tau > 0.0 and key not in partial:
-                partial[key] = len(maps) + len(pending)
-                pending.append((sig.segments[seg_pos].index, tau))
-        if pending:
-            maps += segment_map(sys, pending)
-            pending = []
-        for row, (t_s, crossed, seg_pos, tau) in enumerate(block, start=first):
-            for pos, t_seg in crossed:
-                x = maps[pos](x)
-                _guard(x, t_seg, times, states, active, row)
-            x_s = maps[partial[seg_pos, round(tau, 12)]](x) if tau > 0.0 else x
-            _guard(x_s, t_s, times, states, active, row)
-            states[row] = x_s
-            active[row] = sig.segments[seg_pos].index
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(1, len(times), BLOCK_ROWS):
+            block = [step for _, step in zip(range(BLOCK_ROWS), walk)]
+            for _, _, seg_pos, tau in block:
+                key = (seg_pos, round(tau, 12))
+                if tau > 0.0 and key not in partial:
+                    partial[key] = len(maps) + len(pending)
+                    pending.append((sig.segments[seg_pos].index, tau))
+            if pending:
+                maps += segment_map(sys, pending)
+                pending = []
+            for row, (t_s, crossed, seg_pos, tau) in enumerate(block,
+                                                               start=first):
+                for pos, t_seg in crossed:
+                    x = maps[pos](x)
+                    _guard(x, t_seg, times, states, active, row)
+                x_s = (maps[partial[seg_pos, round(tau, 12)]](x) if tau > 0.0
+                       else x)
+                _guard(x_s, t_s, times, states, active, row)
+                states[row] = x_s
+                active[row] = sig.segments[seg_pos].index
 
     return Trajectory(times, states, active)
 
@@ -299,7 +305,10 @@ def simulate_norm_min(sys: SwitchedSystem, x0: np.ndarray, t_end: float,
     are those of a per-step check, and the steps taken past the escape are
     dropped.  The samples lie at k * step up to t_end, so more than
     MAX_STEPS steps, or a t_end that is not a whole number of steps (to a
-    relative 1e-9), raises ValueError up front.
+    relative 1e-9), raises ValueError up front, as does an x0 that
+    SwitchedSystem.state refuses.  As in poincare_maps, a step map that
+    overflows leaves inf or nan without a warning; the guard classifies a
+    non-finite state, and a map never selected does no harm.
     """
     h = policy.step
     check_simulation(t_end, h)
@@ -309,27 +318,25 @@ def simulate_norm_min(sys: SwitchedSystem, x0: np.ndarray, t_end: float,
         raise ValueError(f"t_end = {t_end:g} is not a whole number of steps "
                          f"of {h:g} (t_end / step = {steps:.10g})")
     m, n = sys.m, sys.n
-    step_maps = segment_map(sys, [(i, h) for i in range(1, m + 1)])
-    stacked = np.concatenate([sub.A for sub in sys.subsystems]
-                             + [step.M for step in step_maps])
-    offsets = np.concatenate([sub.b for sub in sys.subsystems]
-                             + [step.v for step in step_maps])
-    # views of one product plus offsets: the (m, n) block of A_i x + b_i,
-    # then each M_i x + v_i
-    product = np.empty(2 * m * n)
-    rates = product[:m * n].reshape(m, n)
-    moves = [product[(m + i) * n:(m + i + 1) * n] for i in range(m)]
-    values = np.empty(m)
-
-    x0 = linalg.as_vector(x0)
+    x0 = sys.state(x0)
     times = np.arange(n_steps + 1) * h          # bitwise equal to k * h
-    states = np.empty((n_steps + 1, x0.size))
+    states = np.empty((n_steps + 1, n))
     active = np.empty(n_steps + 1, dtype=int)
     states[0] = x0
     x = states[0]
-    # the product also multiplies the step maps that are not selected; one
-    # that overflowed must not warn, and a non-finite state trips the guard
+    # the product also multiplies the step maps that are not selected
     with np.errstate(over="ignore", invalid="ignore"):
+        step_maps = segment_map(sys, [(i, h) for i in range(1, m + 1)])
+        stacked = np.concatenate([sub.A for sub in sys.subsystems]
+                                 + [step.M for step in step_maps])
+        offsets = np.concatenate([sub.b for sub in sys.subsystems]
+                                 + [step.v for step in step_maps])
+        # views of one product plus offsets: the (m, n) block of
+        # A_i x + b_i, then each M_i x + v_i
+        product = np.empty(2 * m * n)
+        rates = product[:m * n].reshape(m, n)
+        moves = [product[(m + i) * n:(m + i + 1) * n] for i in range(m)]
+        values = np.empty(m)
         for first in range(1, n_steps + 1, BLOCK_ROWS):
             stop = min(first + BLOCK_ROWS, n_steps + 1)
             for row in range(first, stop):

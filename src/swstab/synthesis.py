@@ -13,7 +13,6 @@ from . import linalg
 from .model import SwitchedSystem, Weights, average_system
 from .signals import from_weights
 from .simulate import BLOCK_ROWS, MAX_STEPS, poincare_maps
-from .stability import monodromy
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,7 @@ def _sum(values: list) -> float:
     return total
 
 
-def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray, evaluate=None):
+def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray, evaluate):
     """Minimise the abscissa at weights |z| / sum|z| over z, from x0.
 
     scipy.optimize's non-adaptive Nelder-Mead (scipy 1.17), operation for
@@ -168,9 +167,10 @@ def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray, evaluate=None):
     matches.  Points are evaluated one at a time, in scipy's order: each
     initial vertex, the reflection, then only the expansion or the one
     contraction its branch needs, and each shrink vertex.  Every point with
-    sum|z| > 0 is one call of evaluate (default _abscissae) and one
-    evaluation; a point with sum|z| = 0 has value +inf and is not counted.
-    A point whose sum|z| overflows goes to _checked_abscissae.
+    sum|z| > 0 is one call of evaluate (_abscissae or _checked_abscissae,
+    as find_stable_combination picks) and one evaluation; a point with
+    sum|z| = 0 has value +inf and is not counted.  A point whose sum|z|
+    overflows goes to _checked_abscissae.
 
     The simplex and the weights are kept in Python floats: scipy's numpy
     expressions act elementwise, so each gives the same double in Python;
@@ -190,8 +190,6 @@ def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray, evaluate=None):
     Returns (x, value, iterations, status, evaluations), where status is
     "converged", "maxiter" or "cycle".
     """
-    if evaluate is None:
-        evaluate = _abscissae
     N = len(x0)
     evaluations = 0
 
@@ -309,23 +307,22 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
                 else _checked_abscissae)
 
     grid = _simplex_grid(m, steps)
+    evaluations = len(grid)
+    refinement = None
+    # the scan and the refinement, under the one errstate _abscissae needs
     with np.errstate(invalid="ignore"):
         vals = np.concatenate([evaluate(grid[k:k + BLOCK_ROWS], flat, n)
                                for k in range(0, len(grid), BLOCK_ROWS)])
-    best = int(np.argmin(vals))
-    best_alpha, best_val = grid[best], float(vals[best])
-    evaluations = len(grid)
-    refinement = None
-
-    if m > 1:
-        with np.errstate(invalid="ignore"):
+        best = int(np.argmin(vals))
+        best_alpha, best_val = grid[best], float(vals[best])
+        if m > 1:
             x, fval, iterations, status, nm_evaluations = _nelder_mead(
                 flat, n, best_alpha + 1e-3, evaluate)
-        evaluations += nm_evaluations
-        refinement = {"status": status, "iterations": iterations}
-        if fval < best_val:
-            z = np.abs(x)
-            best_alpha, best_val = z / z.sum(), float(fval)
+            evaluations += nm_evaluations
+            refinement = {"status": status, "iterations": iterations}
+            if fval < best_val:
+                z = np.abs(x)
+                best_alpha, best_val = z / z.sum(), float(fval)
 
     return CombinationResult(
         weights=Weights(best_alpha),
@@ -354,26 +351,23 @@ def check_eta_search(eta_max: Optional[float], grid_points: int,
         raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol}")
 
 
-def _radii(Phis: np.ndarray) -> list[float]:
-    """Spectral radius of each monodromy in a (k, n, n) stack, each with the
-    bits of its own linalg.spectral_radius call; a Phi that is not finite
-    has overflowed and is unstable, with radius inf."""
-    finite = np.isfinite(Phis).all(axis=(1, 2))
-    radii = np.full(len(Phis), math.inf)
-    if finite.any():
-        radii[finite] = np.abs(linalg.spectrum(Phis[finite])).max(axis=-1)
-    return radii.tolist()
-
-
 def _grid_radii(sys: SwitchedSystem, w: Weights,
                 etas: list[float]) -> list[float]:
-    """rho(Phi(eta)) for each eta by _radii, BLOCK_ROWS etas at a time: one
-    stacked exponential builds a block's monodromies, each with the bits
-    of its own monodromy call."""
+    """rho(Phi(eta)) for each eta, BLOCK_ROWS etas at a time: one stacked
+    exponential builds a block's monodromies and one stacked eigenvalue
+    call gives their radii, each with the bits of its own monodromy and
+    linalg.spectral_radius calls.  A Phi that is not finite has overflowed
+    and is unstable, with radius inf.  The only route from eta to rho in
+    max_stable_eta: the grid passes every eta, the bisection one."""
     radii = []
     for k in range(0, len(etas), BLOCK_ROWS):
         sigs = [from_weights(w, eta) for eta in etas[k:k + BLOCK_ROWS]]
-        radii += _radii(np.stack([pm.M for pm in poincare_maps(sys, sigs)]))
+        Phis = np.stack([pm.M for pm in poincare_maps(sys, sigs)])
+        finite = np.isfinite(Phis).all(axis=(1, 2))
+        block = np.full(len(Phis), math.inf)
+        if finite.any():
+            block[finite] = np.abs(linalg.spectrum(Phis[finite])).max(axis=-1)
+        radii += block.tolist()
     return radii
 
 
@@ -387,13 +381,12 @@ def max_stable_eta(sys: SwitchedSystem, w: Weights,
     by bisection between the last stable and first unstable grid points.
     rho need not be monotone in eta, so stable islands beyond the first
     instability show up in the grid but never extend eta_star.  An eta
-    whose monodromy overflows is unstable, with rho recorded as inf; that
-    rule lives in _radii, which both the grid and the bisection use.  The
-    bisection runs until its bracket is at most refine_tol wide and it has
-    found a stable eta, so eta_star > 0; it also ends when no float lies
-    strictly between its bounds.  The grid's monodromies come BLOCK_ROWS
-    at a time from one stacked exponential (_grid_radii); the bisection
-    computes one monodromy per step.
+    whose monodromy overflows is unstable, with rho recorded as inf.  Every
+    rho, and that rule, comes from _grid_radii: the grid's BLOCK_ROWS etas
+    at a time, the bisection's one eta per step.  The bisection runs until
+    its bracket is at most refine_tol wide and it has found a stable eta,
+    so eta_star > 0; it also ends when no float lies strictly between its
+    bounds.
     Options that check_eta_search refuses raise ValueError before any work.
     If rho stays >= 1 at every eta tried until a smaller eta would make a
     dwell time underflow to 0, linalg.NumericalError is raised.
@@ -426,7 +419,7 @@ def max_stable_eta(sys: SwitchedSystem, w: Weights,
                 "would make a dwell time underflow to 0")
         if not lo < mid < hi:       # no float left between: tol too fine
             break
-        if _radii(monodromy(sys, from_weights(w, mid))[None])[0] < 1.0:
+        if _grid_radii(sys, w, [mid])[0] < 1.0:
             lo = mid
         else:
             hi = mid

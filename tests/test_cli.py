@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,29 @@ def test_overflowing_monodromy_is_numerical_failure(tmp_path, capsys, command):
                     "--out", tmp_path])
     assert code == cli.EXIT_NUMERICAL
     assert "numerical failure: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, run, code", [
+    pytest.param("simulate", ["--t-end", "4", "--dt", "0.5"],
+                 cli.EXIT_UNSTABLE, id="simulate"),
+    pytest.param("normmin", ["--t-end", "10", "--dt", "1"], cli.EXIT_OK,
+                 id="normmin")])
+def test_overflowing_step_map_adds_no_warning(tmp_path, capsys, command, run,
+                                              code):
+    # e^{800} overflows: simulate crosses that map and diverges, normmin
+    # builds it but never selects it; neither warns
+    sys_path, sig_path = write_specs(
+        tmp_path, [[[800, 0], [0, 800]], [[-1, 0], [0, -1]]], [1.0, 1.0])
+    signal = ["--signal", sig_path] if command == "simulate" else []
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = run_cli([command, "--system", sys_path, *signal, "--x0", "1,0",
+                       *run, "--out", out])
+    assert got == code
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    assert (out / "trajectory_00.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "cycle", "simulate"])

@@ -30,6 +30,32 @@ class TestTypes:
                                                  "system has 2"):
                 sys_.subsystem(index)
 
+    def test_state_is_a_new_float_vector(self):
+        sys_ = SwitchedSystem((SubSystem(np.eye(2), np.zeros(2)),))
+        x0 = np.array([1, -2])
+        x = sys_.state(x0)
+        assert x.dtype == float and x.tolist() == [1.0, -2.0]
+        x[0] = 5.0
+        assert x0.tolist() == [1, -2]
+        assert sys_.state([0.5, 0.25]).tolist() == [0.5, 0.25]
+
+    @pytest.mark.parametrize("x0, error, message", [
+        pytest.param([1.0, 0.0, 0.0], DimensionError,
+                     r"\[1.0, 0.0, 0.0\] has wrong dimension", id="long"),
+        pytest.param([1.0], DimensionError, "has wrong dimension",
+                     id="short"),
+        pytest.param([[1.0], [0.0]], DimensionError, "has wrong dimension",
+                     id="column"),
+        pytest.param(1.0, DimensionError, "has wrong dimension",
+                     id="scalar"),
+        pytest.param([1.0, np.nan], ValueError, r"\[1.0, nan\] is not finite",
+                     id="nan"),
+        pytest.param([-np.inf, 0.0], ValueError, "is not finite", id="inf")])
+    def test_bad_state_refused(self, x0, error, message):
+        sys_ = SwitchedSystem((SubSystem(np.eye(2), np.zeros(2)),))
+        with pytest.raises(error, match=message):
+            sys_.state(x0)
+
     def test_weights_validation(self):
         Weights(np.array([0.5, 0.5]), 2.0)
         with pytest.raises(ValueError):

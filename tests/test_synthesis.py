@@ -283,7 +283,7 @@ class TestNelderMead:
         m, n = mats.shape[:2]
         flat = mats.reshape(m, n * n)
         x, value, nit, status, evaluations = synthesis._nelder_mead(
-            flat, n, np.zeros(m))
+            flat, n, np.zeros(m), synthesis._abscissae)
         res, rows = scipy_nelder_mead(flat, n, np.zeros(m))
         assert np.array_equal(x, res.x)
         assert value == res.fun
@@ -483,7 +483,8 @@ class TestMaxStableEta:
            seed=st.integers(0, 2**32 - 1))
     def test_grid_radii_equal_per_eta(self, n, m, k, seed):
         # one stacked exponential and eigenvalue call give the radii of one
-        # monodromy each; etas up to 1e3 overflow some of them
+        # monodromy each, for the whole grid and for the bisection's one eta
+        # at a time; etas up to 1e3 overflow some of them
         rng = np.random.default_rng(seed)
         subs = tuple(SubSystem(rng.normal(size=(n, n)), rng.normal(size=n))
                      for _ in range(m))
@@ -500,6 +501,8 @@ class TestMaxStableEta:
             want.append(spectral_radius(Phi) if np.isfinite(Phi).all()
                         else np.inf)
         assert synthesis._grid_radii(sys_, w, etas) == want
+        assert [synthesis._grid_radii(sys_, w, [eta])[0]
+                for eta in etas] == want
 
     def test_grid_of_several_blocks_equals_per_eta(self, example1):
         points = synthesis.BLOCK_ROWS + 7
@@ -525,7 +528,6 @@ class TestMaxStableEta:
         # refused before the grid is allocated or any monodromy computed
         def no_monodromy(*args):
             raise AssertionError("monodromy computed for a refused grid")
-        monkeypatch.setattr(synthesis, "monodromy", no_monodromy)
         monkeypatch.setattr(synthesis, "poincare_maps", no_monodromy)
         with pytest.raises(ValueError, match="MAX_STEPS"):
             max_stable_eta(example1, self.HALF4, grid_points=MAX_STEPS + 1)
