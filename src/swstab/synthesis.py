@@ -4,6 +4,7 @@ dwell-time scale at which the constructed periodic signal still stabilises."""
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -57,6 +58,10 @@ class EtaSearchResult:
 # Largest |entry| of the matrices for which the lean _abscissae runs: no
 # convex combination of them, rounding included, overflows.
 _LEAN_BOUND = np.finfo(float).max / 4
+# Range of max_i ||A_i||_F in which the simplex scan prunes with
+# _abscissa_bound: no square overflows, and every rounding error the
+# bound's margin covers is far above the subnormal range.
+_PRUNE_RANGE = (2.0 ** -400, 2.0 ** 400)
 # Most simplex-grid entries (points x weights) a scan may hold: 100 MB.
 MAX_GRID_ENTRIES = 12_500_000
 # Simplex-grid spacing when none is given; default_resolution coarsens it.
@@ -145,6 +150,119 @@ def _abscissae(alphas: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
     return vals
 
 
+def _abscissa(w: np.ndarray, flat: np.ndarray, n: int) -> float:
+    """_abscissae(w[None], flat, n)[0] for one weight vector w, bit for
+    bit, without the block: the 1-d product w . flat rounds as
+    _combinations' per-row product does, and LAPACK gets the one matrix.
+    The same conditions hold, and a NaN goes to _checked_abscissae."""
+    value = float(linalg.finite_spectrum(w.dot(flat).reshape(n, n)).real.max())
+    if math.isnan(value):
+        return float(_checked_abscissae(w[None], flat, n)[0])
+    return value
+
+
+def _abscissa_bound(flat: np.ndarray, n: int):
+    """A lower bound on the abscissa _abscissae computes for each row of a
+    (k, m) weight block, as a function of the block; None where the scale
+    of the matrices is outside _PRUNE_RANGE.
+
+    The bound.  For a real n x n matrix A with eigenvalues lambda_j, let
+    mu = tr A / n and T = tr(A^2) - n mu^2.  The real parts have mean mu,
+    and sum_j (Re lambda_j - mu)^2 = T + sum_j (Im lambda_j)^2 >= T, since
+    sum_j lambda_j^2 = tr(A^2) is real.  Reals of mean zero whose squares
+    sum to Q have a maximum of at least sqrt(Q / (n (n - 1))) (Laguerre-
+    Samuelson), so max Re lambda >= mu + sqrt(max(T, 0) / (n (n - 1))); for
+    n = 1 it is mu.  For A = sum_i alpha_i A_i, n mu = alpha . t and
+    tr(A^2) = alpha^T G alpha, with t_i = tr A_i and G_ij = tr(A_i A_j).
+
+    The margin.  LAPACK returns the exact eigenvalues of B + E, where B is
+    the balanced A' that _combinations forms (a diagonal similarity, so
+    tr B^k = tr A'^k and ||B||_F <= ||A'||_F) and ||E||_F <= p u ||A'||_F,
+    with u = 2^-53 and p = 10 n^3, well above the "modest function of n"
+    of the LAPACK Users' Guide.  So the bound applied to B + E holds for
+    what _abscissae returns, once the computed mu and T give way by what
+    separates them from those of B + E.  With F = max_i ||A_i||_F and
+    weights summing to 1 + O(m u), each gap is at most c u F in mu or
+    c u F^2 in T, to first order:
+      - A' against the exact sum (||A' - A||_F <= m u F): c = m in mu,
+        2 m in tr(A^2);
+      - t, alpha . t and the division by n, with A' against A: c = n + 2m
+        + 1 in mu, 2 (n + 2 m + 1) in n mu^2;
+      - G and the quadratic form: c = n^2 + 2 m + 1 in tr(A^2);
+      - the products and the difference that form T: c = 6;
+      - E: c = p in mu, 4 p in T;
+      - the last roundings of the bound (the square root term is at most
+        F): c = 8 in mu.
+    Each total is below K = 4 n^2 + 9 m + 5 p + 32, which leaves room for
+    the rounding of F and of the weight sum; the bound subtracts K u F
+    from mu and K u F^2 from T before the square root.  In _PRUNE_RANGE no
+    square overflows, and every one of those terms is far above the
+    absolute error of a product that underflows.
+    """
+    if not np.abs(flat).max() <= _PRUNE_RANGE[1]:     # no square overflows
+        return None
+    F = float(np.sqrt((flat * flat).sum(axis=1)).max())
+    if not _PRUNE_RANGE[0] <= F <= _PRUNE_RANGE[1]:
+        return None
+    m = len(flat)
+    t = flat[:, ::n + 1].sum(axis=1)
+    G = flat @ flat.reshape(m, n, n).transpose(0, 2, 1).reshape(m, n * n).T
+    K = (4 * n * n + 9 * m + 50 * n ** 3 + 32) * 2.0 ** -53
+    mu_margin, T_margin, pairs = K * F, K * F * F, n * (n - 1)
+
+    def bound(alphas: np.ndarray) -> np.ndarray:
+        mu = alphas @ t / n
+        if n == 1:
+            return mu - mu_margin
+        T = ((alphas @ G) * alphas).sum(axis=1) - n * mu * mu
+        return (mu - mu_margin) + np.sqrt(np.maximum(T - T_margin, 0.0)
+                                          / pairs)
+    return bound
+
+
+def _scan(grid: np.ndarray, flat: np.ndarray, n: int, evaluate,
+          bound) -> tuple[int, float]:
+    """Index and value of the first minimum of the abscissa over the rows
+    of grid, bit for bit as np.argmin over evaluate(grid) gives them.
+
+    With a bound (from _abscissa_bound), the rows go to evaluate
+    BLOCK_ROWS at a time in ascending order of their bounds, and only those
+    whose bound does not exceed the least value found so far: a row whose
+    bound exceeds it has a larger value, so it is no minimum.  The scan
+    ends at the first block whose least bound exceeds it.  A bound that is
+    not finite skips nothing.  Without a bound every row is evaluated, in
+    grid order.  Of equal least values, the row of least index is kept,
+    whatever the order of evaluation.
+    """
+    if bound is None:
+        lower, order = np.full(len(grid), -np.inf), np.arange(len(grid))
+    else:
+        lower = np.empty(len(grid))
+        for k in range(0, len(grid), BLOCK_ROWS):
+            lower[k:k + BLOCK_ROWS] = bound(grid[k:k + BLOCK_ROWS])
+        lower[~np.isfinite(lower)] = -np.inf
+        order = lower.argsort()
+        lower.sort()            # lower[k] is now the bound of row order[k]
+    best, best_val = -1, math.inf
+    start = 0
+    while start < len(grid):
+        block = lower[start:start + BLOCK_ROWS]
+        stop = start + int(block.searchsorted(best_val, side="right"))
+        if stop == start:
+            break
+        rows = order[start:stop]
+        vals = evaluate(grid[rows], flat, n)
+        # the least row of least value, with that row's own value: 0.0
+        # and -0.0 compare equal
+        least = vals == vals.min()
+        k = int(np.flatnonzero(least)[rows[least].argmin()])
+        index, val = int(rows[k]), float(vals[k])
+        if val < best_val or (val == best_val and index < best):
+            best, best_val = index, val
+        start = stop
+    return best, best_val
+
+
 def _sum(values: list) -> float:
     """np.sum of a list of floats, bit for bit: below 8 values numpy adds
     them left to right from 0, which a Python loop does too (not the
@@ -158,7 +276,7 @@ def _sum(values: list) -> float:
     return total
 
 
-def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray, evaluate):
+def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray, lean: bool):
     """Minimise the abscissa at weights |z| / sum|z| over z, from x0.
 
     scipy.optimize's non-adaptive Nelder-Mead (scipy 1.17), operation for
@@ -167,17 +285,21 @@ def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray, evaluate):
     matches.  Points are evaluated one at a time, in scipy's order: each
     initial vertex, the reflection, then only the expansion or the one
     contraction its branch needs, and each shrink vertex.  Every point with
-    sum|z| > 0 is one call of evaluate (_abscissae or _checked_abscissae,
-    as find_stable_combination picks) and one evaluation; a point with
-    sum|z| = 0 has value +inf and is not counted.  A point whose sum|z|
-    overflows goes to _checked_abscissae.
+    sum|z| > 0 is one evaluation; a point with sum|z| = 0 has value +inf
+    and is not counted.  When lean (find_stable_combination found that no
+    combination can overflow), a point is one _abscissa call on
+    |z| / sum|z|: one LAPACK call on one matrix, with the bits of
+    _abscissae on a one-row block but without the block's overhead.  A
+    point whose sum|z| overflows goes to _checked_abscissae, and so does
+    every point when not lean.
 
     The simplex and the weights are kept in Python floats: scipy's numpy
     expressions act elementwise, so each gives the same double in Python;
     the centroid's np.add.reduce over axis 0 adds the rows in order from 0,
-    and sum|z| is _sum.  Two steps stay in numpy: np.argsort (which need
-    not keep ties in order) and the bytes of the repeat key (a float
-    comparison equates 0.0 and -0.0).
+    and sum|z| is _sum.  np.argsort stays in numpy (it need not keep ties
+    in order).  The repeat key is the bytes of the simplex and its values,
+    packed by struct as numpy would lay them out (a float comparison
+    equates 0.0 and -0.0).
 
     Where the stopping rule cannot fire, the sorted simplex and its values
     often come to repeat bit for bit: at a coalescing eigenvalue the
@@ -192,6 +314,7 @@ def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray, evaluate):
     """
     N = len(x0)
     evaluations = 0
+    pack = struct.Struct(f"{(N + 1) ** 2}d").pack
 
     def f(z: list) -> float:
         nonlocal evaluations
@@ -200,17 +323,17 @@ def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray, evaluate):
         if s <= 0.0:
             return math.inf
         evaluations += 1
-        weights = np.array([[a / s for a in az]])
-        if s < math.inf:
-            return float(evaluate(weights, flat, n)[0])
-        return float(_checked_abscissae(weights, flat, n)[0])
+        if lean and s < math.inf:
+            return _abscissa(np.array(az) / s, flat, n)
+        return float(_checked_abscissae(np.array([[a / s for a in az]]),
+                                        flat, n)[0])
 
     def sorted_state(sim, fsim):
         """sim and fsim in np.argsort order of fsim, and their bytes."""
         # the ndarray method is np.argsort without its wrapper
         order = np.array(fsim).argsort().tolist()
         sim, fsim = [sim[k] for k in order], [fsim[k] for k in order]
-        state = np.array([v for row in sim for v in row] + fsim).tobytes()
+        state = pack(*[v for row in sim for v in row], *fsim)
         return sim, fsim, state
 
     x0 = [float(v) for v in x0]
@@ -276,9 +399,16 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
     Coarse grid scan at the given resolution, in stacked eigenvalue calls,
     then a derivative-free refinement from the best grid point: the
     in-house Nelder-Mead of _nelder_mead, which reproduces scipy's result
-    bit for bit and evaluates one point at a time, as scipy does.  A
-    refinement whose simplex comes back to an earlier state stops there;
-    evaluations counts the grid and every point the refinement evaluates.
+    bit for bit and evaluates one point at a time, as scipy does.  The
+    scan (_scan) skips every grid point whose certified lower bound on the
+    abscissa (_abscissa_bound: the trace gives the mean of the eigenvalues'
+    real parts and tr(A^2) a floor on their spread, less a margin for
+    rounding and LAPACK's backward error) exceeds a value already found;
+    such a point is no minimum, so the scan returns the first minimum in
+    grid order, and its value, bit for bit as a scan of every point does.
+    A refinement whose simplex comes back to an earlier state stops there;
+    evaluations counts every grid point, skipped or not, and every point
+    the refinement evaluates.
     The abscissa is nonsmooth, so no gradients are used.  The refinement's
     status ("converged", "maxiter" or "cycle") and iteration count are
     reported.  A single matrix is a one-point grid with no refinement.  The
@@ -303,21 +433,20 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
     flat = np.stack(mats).reshape(m, n * n)
     # the one finiteness check of the search; beyond the bound every point
     # takes the checked path
-    evaluate = (_abscissae if np.abs(flat).max() <= _LEAN_BOUND
-                else _checked_abscissae)
+    lean = bool(np.abs(flat).max() <= _LEAN_BOUND)
+    evaluate = _abscissae if lean else _checked_abscissae
 
     grid = _simplex_grid(m, steps)
     evaluations = len(grid)
     refinement = None
     # the scan and the refinement, under the one errstate _abscissae needs
     with np.errstate(invalid="ignore"):
-        vals = np.concatenate([evaluate(grid[k:k + BLOCK_ROWS], flat, n)
-                               for k in range(0, len(grid), BLOCK_ROWS)])
-        best = int(np.argmin(vals))
-        best_alpha, best_val = grid[best], float(vals[best])
+        best, best_val = _scan(grid, flat, n, evaluate,
+                               _abscissa_bound(flat, n))
+        best_alpha = grid[best]
         if m > 1:
             x, fval, iterations, status, nm_evaluations = _nelder_mead(
-                flat, n, best_alpha + 1e-3, evaluate)
+                flat, n, best_alpha + 1e-3, lean)
             evaluations += nm_evaluations
             refinement = {"status": status, "iterations": iterations}
             if fval < best_val:

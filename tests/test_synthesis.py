@@ -175,12 +175,193 @@ class TestLeanAbscissae:
         def lean(*args):
             raise AssertionError("lean evaluator used beyond its bound")
         monkeypatch.setattr(synthesis, "_abscissae", lean)
+        monkeypatch.setattr(synthesis, "_abscissa", lean)
         big = 2.0 * synthesis._LEAN_BOUND
         matrices = [np.array([[-big, 1.0], [0.0, -1.0]]),
                     np.array([[1.0, 0.0], [big, -big]])]
         result = find_stable_combination(matrices, resolution=0.25)
         mix = sum(a * M for a, M in zip(result.weights.alpha, matrices))
         assert result.abscissa == spectral_abscissa(mix)
+
+
+def full_scan(grid, flat, n):
+    """The scan without the bound: every row to _abscissae, BLOCK_ROWS at
+    a time, and np.argmin's first minimum.  The pruned scan's reference."""
+    vals = np.concatenate([
+        synthesis._abscissae(grid[k:k + synthesis.BLOCK_ROWS], flat, n)
+        for k in range(0, len(grid), synthesis.BLOCK_ROWS)])
+    best = int(np.argmin(vals))
+    return best, float(vals[best])
+
+
+def bits(value):
+    """A float's bytes: equal bits, 0.0 and -0.0 apart."""
+    return np.float64(value).tobytes()
+
+
+# scales 10^k: the bound prunes for |k| up to about 120 and is off beyond
+SCALES = st.integers(-125, 125) | st.sampled_from([-3, 0, 3])
+
+
+@st.composite
+def stacks(draw):
+    """(flat, n) for random families and adversarial ones: repeated
+    matrices, multiples of I (T = 0), commuting diagonal, nilpotent and
+    triangular families, and families whose abscissa is a dominant
+    complex pair; m and n from 1 to 5, at scales far from 1."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "repeated", "identity",
+                                 "diagonal", "nilpotent", "triangular",
+                                 "complex"]))
+    if kind == "random":
+        mats = rng.normal(size=(m, n, n))
+    elif kind == "repeated":
+        mats = np.repeat(rng.normal(size=(1, n, n)), m, axis=0)
+    elif kind == "identity":
+        mats = rng.normal(size=(m, 1, 1)) * np.eye(n)
+    elif kind == "diagonal":
+        mats = np.stack([np.diag(d) for d in rng.normal(size=(m, n))])
+    elif kind == "nilpotent":
+        mats = np.triu(rng.normal(size=(m, n, n)), 1)
+    elif kind == "triangular":
+        mats = np.triu(rng.normal(size=(m, n, n)))
+    else:
+        mats = 0.1 * rng.normal(size=(m, n, n)) - np.eye(n)
+        for A, (a, b) in zip(mats, rng.normal(size=(m, 2))):
+            A[:2, :2] += np.array([[a, 10.0 * b], [-10.0 * b, a]])[:n, :n]
+    scale = 10.0 ** draw(SCALES)
+    return (mats * scale).reshape(m, n * n), n
+
+
+class TestPrunedScan:
+    """The scan skips the grid points whose lower bound on the abscissa
+    exceeds a value already found, and still finds the full scan's first
+    minimum, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(stacks(), st.data())
+    def test_equals_full_scan(self, stack, data):
+        # for m > 1 the largest steps, and the ones sampled_from adds, give
+        # grids of more than one block
+        flat, n = stack
+        m = len(flat)
+        steps = data.draw(st.integers(1, {1: 1, 2: 400, 3: 30, 4: 12,
+                                          5: 8}[m]) | st.sampled_from(
+            {1: [1], 2: [300], 3: [25], 4: [11], 5: [7, 8]}[m]))
+        grid = synthesis._simplex_grid(m, steps)
+        with np.errstate(invalid="ignore"):
+            want = full_scan(grid, flat, n)
+            got = synthesis._scan(grid, flat, n, synthesis._abscissae,
+                                  synthesis._abscissa_bound(flat, n))
+        assert (got[0], bits(got[1])) == (want[0], bits(want[1]))
+
+    @pytest.mark.parametrize("m, steps", [(2, 512), (3, 32), (4, 16), (5, 8)])
+    def test_all_ties_give_index_0(self, m, steps):
+        # weights k / 2^j times small integers sum exactly: every grid
+        # point is the one matrix, so all values tie and the first wins
+        A = np.random.default_rng(m).integers(-4, 5, size=(4, 4))
+        flat = np.repeat(A.reshape(1, 16).astype(float), m, axis=0)
+        grid = synthesis._simplex_grid(m, steps)
+        with np.errstate(invalid="ignore"):
+            assert (synthesis._combinations(grid, flat, 4) == A).all()
+            got = synthesis._scan(grid, flat, 4, synthesis._abscissae,
+                                  synthesis._abscissa_bound(flat, 4))
+            assert got == full_scan(grid, flat, 4)
+        assert got == (0, spectral_abscissa(A.astype(float)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(stacks(), st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_bound_below_eigvals(self, stack, k, seed):
+        flat, n = stack
+        m = len(flat)
+        bound = synthesis._abscissa_bound(flat, n)
+        if bound is None:
+            return
+        rng = np.random.default_rng(seed)
+        alphas = np.vstack([np.eye(m), rng.dirichlet(np.ones(m), size=k)])
+        mats = synthesis._combinations(alphas, flat, n)
+        assert (bound(alphas) <= np.linalg.eigvals(mats).real.max(-1)).all()
+
+    def test_prunes_a_design_family(self):
+        # every A_i unstable and the mean Hurwitz: most of the lattice lies
+        # far above the minimum
+        flat = np.stack(design_family(0)).reshape(3, 9)
+        grid = synthesis._simplex_grid(3, 100)
+        rows = []
+
+        def evaluate(alphas, flat, n):
+            rows.extend(map(bytes, alphas))
+            return synthesis._abscissae(alphas, flat, n)
+        with np.errstate(invalid="ignore"):
+            got = synthesis._scan(grid, flat, 3, evaluate,
+                                  synthesis._abscissa_bound(flat, 3))
+            assert got == full_scan(grid, flat, 3)
+        assert len(set(rows)) == len(rows) < len(grid) // 2
+
+    @pytest.mark.parametrize("steps", [100, 600])
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    @pytest.mark.parametrize("bound", [None, lambda alphas: -alphas[:, 0],
+                                       lambda alphas: alphas[:, 0] - 1.0])
+    def test_signed_zero_ties(self, steps, first, bound):
+        # values 0.0 and -0.0 tie; the first row wins with its own sign,
+        # in one block or several, in grid order or either order of the
+        # (valid) bounds
+        def evaluate(alphas, flat, n):
+            return np.where(alphas[:, 0] > 0.5, first, -first)
+        grid = synthesis._simplex_grid(2, steps)
+        got = synthesis._scan(grid, None, 1, evaluate, bound)
+        assert (got[0], bits(got[1])) == (0, bits(first))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bound_skips_nothing(self, value):
+        # the rows of odd k in (1 - k/600, k/600) get a non-finite bound,
+        # the others one above every value: only the former must reach
+        # LAPACK, and all of them do
+        def odd(alphas):
+            return np.rint(alphas[:, 1] * 600) % 2 == 1
+
+        def bound(alphas):
+            return np.where(odd(alphas), value, 1e300)
+
+        rows = []
+
+        def evaluate(alphas, flat, n):
+            rows.extend(map(bytes, alphas))
+            return synthesis._abscissae(alphas, flat, n)
+        flat = np.random.default_rng(3).normal(size=(2, 9))
+        grid = synthesis._simplex_grid(2, 600)
+        with np.errstate(invalid="ignore"):
+            synthesis._scan(grid, flat, 3, evaluate, bound)
+        assert set(map(bytes, grid[odd(grid)])) == set(rows)
+
+    @pytest.mark.parametrize("scale, prunes", [
+        (0.0, False), (1e-125, False), (1e-118, True), (1.0, True),
+        (1e118, True), (1e125, False), (1e300, False)])
+    def test_bound_off_outside_its_range(self, scale, prunes):
+        # decided once per search from max ||A_i||_F: beyond the range a
+        # square could overflow, below it a product could underflow
+        flat = np.random.default_rng(5).normal(size=(3, 9)) * scale
+        assert (synthesis._abscissa_bound(flat, 3) is not None) == prunes
+
+    @settings(max_examples=150, deadline=None)
+    @given(stacks(), st.integers(0, 2**32 - 1))
+    def test_one_point_equals_block(self, stack, seed):
+        # the refinement's one-point objective has _abscissae's bits
+        flat, n = stack
+        m = len(flat)
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(50, m)) * 10.0 ** rng.uniform(-3, 3, size=(50, 1))
+        z[rng.random(size=(50, m)) < 0.2] = 0.0
+        with np.errstate(invalid="ignore"):
+            for row in np.abs(z):
+                az = row.tolist()
+                s = synthesis._sum(az)
+                if s <= 0.0:
+                    continue
+                w = np.array(az) / s
+                assert (bits(synthesis._abscissa(w, flat, n))
+                        == synthesis._abscissae(w[None], flat, n)[0].tobytes())
 
 
 def scipy_nelder_mead(flat, n, x0, maxiter=2000):
@@ -222,17 +403,42 @@ def scipy_refinement(matrices, resolution, maxiter=2000):
 
 
 def evaluated_rows(call):
-    """call(), with synthesis._abscissae recording the rows of every call:
-    returns call's result and one list of row bytes per call."""
-    evaluate, calls = synthesis._abscissae, []
+    """call(), recording what goes to LAPACK: returns call's result, one
+    list of row bytes per synthesis._abscissae call (the scan's blocks) and
+    the bytes of each single matrix that linalg.finite_spectrum gets (one
+    per point the refinement evaluates)."""
+    evaluate, spectrum = synthesis._abscissae, linalg.finite_spectrum
+    calls, points = [], []
 
     def recording(alphas, flat, n):
         calls.append([row.tobytes() for row in alphas])
         return evaluate(alphas, flat, n)
 
+    def recording_spectrum(M):
+        if M.ndim == 2:
+            points.append(M.tobytes())
+        return spectrum(M)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(synthesis, "_abscissae", recording)
-        return call(), calls
+        patch.setattr(linalg, "finite_spectrum", recording_spectrum)
+        return call(), calls, points
+
+
+def assert_scan_rows(calls, grid):
+    """The scan sends grid rows to LAPACK, none twice; the bound skips the
+    rest."""
+    scanned = [row for rows in calls for row in rows]
+    assert len(set(scanned)) == len(scanned) <= len(grid)
+    assert set(scanned) <= {row.tobytes() for row in grid}
+
+
+def point_matrices(rows, matrices):
+    """The matrix _abscissae forms for each weight row, as bytes."""
+    m, n = len(matrices), len(matrices[0])
+    flat = np.stack(matrices).reshape(m, n * n)
+    return [synthesis._combinations(np.frombuffer(row)[None], flat,
+                                    n)[0].tobytes() for row in rows]
 
 
 @st.composite
@@ -283,7 +489,7 @@ class TestNelderMead:
         m, n = mats.shape[:2]
         flat = mats.reshape(m, n * n)
         x, value, nit, status, evaluations = synthesis._nelder_mead(
-            flat, n, np.zeros(m), synthesis._abscissae)
+            flat, n, np.zeros(m), True)
         res, rows = scipy_nelder_mead(flat, n, np.zeros(m))
         assert np.array_equal(x, res.x)
         assert value == res.fun
@@ -306,23 +512,25 @@ def design_family(seed):
 
 def assert_equals_scipy(matrices, resolution, maxiter=2000):
     """The refinement equals scipy's run to maxiter, and evaluates the same
-    points in the same order, one per _abscissae call; one that stops on a
-    cycle at iteration r equals scipy's run to r in every count, and its
-    weights and abscissa equal those of scipy's run to maxiter."""
-    result, calls = evaluated_rows(
+    points in the same order, one LAPACK call on one matrix each; one that
+    stops on a cycle at iteration r equals scipy's run to r in every
+    count, and its weights and abscissa equal those of scipy's run to
+    maxiter.  The pruned scan's best point is the full scan's."""
+    result, calls, points = evaluated_rows(
         lambda: find_stable_combination(matrices, resolution=resolution))
     refinement = result.refinement
     cycled = refinement["status"] == "cycle"
     stop = refinement["iterations"] if cycled else maxiter
     alpha, val, evaluations, res, rows = scipy_refinement(matrices,
                                                           resolution, stop)
-    grid_size = len(synthesis._simplex_grid(
-        len(matrices), synthesis._grid_steps(len(matrices), resolution)))
+    grid = synthesis._simplex_grid(
+        len(matrices), synthesis._grid_steps(len(matrices), resolution))
+    grid_size = len(grid)
     # the scan's blocks, then one call per point the refinement evaluates,
-    # in the order scipy's objective evaluates them
-    scan = -(-grid_size // synthesis.BLOCK_ROWS)
-    assert sum(map(len, calls[:scan])) == grid_size
-    assert calls[scan:] == [[row] for row in rows]
+    # on the matrix _abscissae forms, in the order scipy's objective
+    # evaluates them
+    assert_scan_rows(calls, grid)
+    assert points == point_matrices(rows, matrices)
     assert np.array_equal(result.weights.alpha, alpha)
     assert result.abscissa == val
     assert result.evaluations == evaluations == grid_size + res.nfev
@@ -370,15 +578,15 @@ class TestFastForward:
             "iterations": min(maxiter, stop)}
 
     def test_cycle_is_not_replayed(self):
-        result, calls = evaluated_rows(
+        result, calls, points = evaluated_rows(
             lambda: find_stable_combination(design_family(CYCLE_SEED), 0.05))
         assert result.refinement == {"status": "cycle",
                                      "iterations": CYCLE_START + CYCLE_PERIOD}
-        # one scan block, then one call per counted point up to the repeat
-        grid_size = len(synthesis._simplex_grid(3, 20))
-        assert len(calls[0]) == grid_size
-        assert len(calls) - 1 == result.evaluations - grid_size
-        assert all(len(rows) == 1 for rows in calls[1:])
+        # the scan, then one single-matrix call per counted point up to the
+        # repeat
+        grid = synthesis._simplex_grid(3, 20)
+        assert_scan_rows(calls, grid)
+        assert len(points) == result.evaluations - len(grid)
 
 
 class TestResolution:
