@@ -177,12 +177,54 @@ def common_equilibrium(sys: SwitchedSystem,
 # -- JSON system specification ------------------------------------------------
 
 def json_int(value, name: str) -> int:
-    """An integer field of a JSON spec.  2 and 2.0 give 2; a boolean or a
-    value with a fractional part raises ValueError instead of truncating."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
+    """An integer field of a JSON spec.  2 and 2.0 give 2; a boolean, a
+    string or a value with a fractional part raises ValueError instead of
+    converting."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float)
+                                          and not value.is_integer()):
         raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
     return int(value)
+
+
+def json_float(value, name: str) -> float:
+    """A real field of a JSON spec; a string raises ValueError instead of
+    being parsed."""
+    if isinstance(value, str):
+        raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def json_array(value, name: str) -> np.ndarray:
+    """A field of a JSON spec that nests lists of numbers, as a float
+    array; a string anywhere in it raises ValueError instead of being
+    parsed."""
+    pending = [value]       # a loop, not recursion: JSON nests deeply
+    while pending:
+        v = pending.pop()
+        if isinstance(v, str):
+            raise ValueError(f"{name} must hold numbers, not strings")
+        if isinstance(v, list):
+            pending.extend(v)
+    return np.asarray(value, dtype=float)
+
+
+def json_objects(spec, key: str, kind: str) -> list:
+    """spec[key], where a spec of this kind must be a JSON object whose key
+    holds a list of objects; otherwise ValueError."""
+    if not isinstance(spec, dict) or key not in spec:
+        raise ValueError(f'{kind} spec must be a JSON object with "{key}"')
+    entries = spec[key]
+    if not (isinstance(entries, list)
+            and all(isinstance(e, dict) for e in entries)):
+        raise ValueError(f'"{key}" must be a list of objects')
+    return entries
+
+
+def json_field(entry: dict, key: str, where: str):
+    """entry[key]; a missing key raises ValueError naming it and where."""
+    if key not in entry:
+        raise ValueError(f'{where} has no "{key}"')
+    return entry[key]
 
 
 def system_to_dict(sys: SwitchedSystem) -> dict:
@@ -200,17 +242,14 @@ def system_from_dict(spec: dict) -> SwitchedSystem:
 
     An omitted "b" means the zero vector (linear subsystem).
     """
-    if not isinstance(spec, dict) or "subsystems" not in spec:
-        raise ValueError('system spec must be a JSON object with "subsystems"')
-    entries = spec["subsystems"]
-    if not (isinstance(entries, list)
-            and all(isinstance(e, dict) for e in entries)):
-        raise ValueError('"subsystems" must be a list of objects')
+    entries = json_objects(spec, "subsystems", "system")
     subs = []
     try:
-        for entry in entries:
-            A = np.asarray(entry["A"], dtype=float)
-            b = np.asarray(entry.get("b", np.zeros(A.shape[0])), dtype=float)
+        for k, entry in enumerate(entries, 1):
+            where = f"subsystem {k}"
+            A = json_array(json_field(entry, "A", where), f'{where} "A"')
+            b = (json_array(entry["b"], f'{where} "b"') if "b" in entry
+                 else np.zeros(A.shape[0]))
             subs.append(SubSystem(A, b))
         declared = json_int(spec["n"], '"n"') if "n" in spec else None
     except TypeError as exc:

@@ -10,7 +10,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .model import Weights, json_int
+from .model import (Weights, json_field, json_float, json_int,
+                    json_objects)
 
 
 class Segment(NamedTuple):
@@ -161,17 +162,15 @@ def signal_from_dict(spec: dict) -> PeriodicSignal:
 
     The optional "eta" (default 1) scales every duration.
     """
-    if not isinstance(spec, dict) or "segments" not in spec:
-        raise ValueError('signal spec must be a JSON object with "segments"')
-    entries = spec["segments"]
-    if not (isinstance(entries, list)
-            and all(isinstance(s, dict) for s in entries)):
-        raise ValueError('"segments" must be a list of objects')
+    entries = json_objects(spec, "segments", "signal")
     try:
-        segs = tuple(Segment(json_int(s["index"], "segment index"),
-                             float(s["duration"]))
-                     for s in entries)
-        eta = float(spec.get("eta", 1.0))
+        segs = tuple(
+            Segment(json_int(json_field(s, "index", f"segment {k}"),
+                             "segment index"),
+                    json_float(json_field(s, "duration", f"segment {k}"),
+                               "segment duration"))
+            for k, s in enumerate(entries, 1))
+        eta = json_float(spec.get("eta", 1.0), '"eta"')
     except TypeError as exc:
         raise ValueError(f"signal spec value has the wrong type: {exc}") from exc
     return scale(PeriodicSignal(segs), eta)

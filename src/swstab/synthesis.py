@@ -55,13 +55,12 @@ class EtaSearchResult:
         }
 
 
-# Largest |entry| of the matrices for which the lean _abscissae runs: no
-# convex combination of them, rounding included, overflows.
-_LEAN_BOUND = np.finfo(float).max / 4
-# Range of max_i ||A_i||_F in which the simplex scan prunes with
-# _abscissa_bound: no square overflows, and every rounding error the
-# bound's margin covers is far above the subnormal range.
-_PRUNE_RANGE = (2.0 ** -400, 2.0 ** 400)
+# The simplex search's one scale range.  Matrices with every entry within
+# its top evaluate with the lean _abscissae (no convex combination of them,
+# rounding included, overflows), and the scan prunes with _abscissa_bound
+# when max_i ||A_i||_F lies in it too: no square overflows, and every
+# rounding error the bound's margin covers is far above the subnormal range.
+_SCALE_RANGE = (2.0 ** -400, 2.0 ** 400)
 # Most simplex-grid entries (points x weights) a scan may hold: 100 MB.
 MAX_GRID_ENTRIES = 12_500_000
 # Simplex-grid spacing when none is given; default_resolution coarsens it.
@@ -133,15 +132,21 @@ def _checked_abscissae(alphas: np.ndarray, flat: np.ndarray,
     return linalg.spectrum(_combinations(alphas, flat, n)).real.max(axis=-1)
 
 
+def _checked_abscissa(w: np.ndarray, flat: np.ndarray, n: int) -> float:
+    """_checked_abscissae for one weight vector w."""
+    return float(_checked_abscissae(w[None], flat, n)[0])
+
+
 def _abscissae(alphas: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
     """Spectral abscissa of sum_i alpha_i A_i for every row of a (k, m) block.
 
     The search's lean evaluator: no finiteness check per call.  It is for
-    finite weights in [0, 1] and entries of flat within _LEAN_BOUND, whose
-    combinations are finite; find_stable_combination checks that once per
-    search, and runs the search under np.errstate(invalid="ignore").  A
-    NaN abscissa, where LAPACK did not converge, goes to
-    _checked_abscissae, which raises linalg.spectrum's NumericalError.
+    finite weights in [0, 1] and entries of flat within the top of
+    _SCALE_RANGE, whose combinations are finite; find_stable_combination
+    checks that once per search, and runs the search under
+    np.errstate(invalid="ignore").  A NaN abscissa, where LAPACK did not
+    converge, goes to _checked_abscissae, which raises linalg.spectrum's
+    NumericalError.
     """
     vals = linalg.finite_spectrum(_combinations(alphas, flat, n)).real.max(
         axis=-1)
@@ -154,17 +159,17 @@ def _abscissa(w: np.ndarray, flat: np.ndarray, n: int) -> float:
     """_abscissae(w[None], flat, n)[0] for one weight vector w, bit for
     bit, without the block: the 1-d product w . flat rounds as
     _combinations' per-row product does, and LAPACK gets the one matrix.
-    The same conditions hold, and a NaN goes to _checked_abscissae."""
+    The same conditions hold, and a NaN goes to _checked_abscissa."""
     value = float(linalg.finite_spectrum(w.dot(flat).reshape(n, n)).real.max())
     if math.isnan(value):
-        return float(_checked_abscissae(w[None], flat, n)[0])
+        return _checked_abscissa(w, flat, n)
     return value
 
 
-def _abscissa_bound(flat: np.ndarray, n: int):
+def _abscissa_bound(flat: np.ndarray, n: int, F: float):
     """A lower bound on the abscissa _abscissae computes for each row of a
-    (k, m) weight block, as a function of the block; None where the scale
-    of the matrices is outside _PRUNE_RANGE.
+    (k, m) weight block, as a function of the block, for matrices with
+    F = max_i ||A_i||_F in _SCALE_RANGE (find_stable_combination checks it).
 
     The bound.  For a real n x n matrix A with eigenvalues lambda_j, let
     mu = tr A / n and T = tr(A^2) - n mu^2.  The real parts have mean mu,
@@ -195,15 +200,10 @@ def _abscissa_bound(flat: np.ndarray, n: int):
         F): c = 8 in mu.
     Each total is below K = 4 n^2 + 9 m + 5 p + 32, which leaves room for
     the rounding of F and of the weight sum; the bound subtracts K u F
-    from mu and K u F^2 from T before the square root.  In _PRUNE_RANGE no
+    from mu and K u F^2 from T before the square root.  In _SCALE_RANGE no
     square overflows, and every one of those terms is far above the
     absolute error of a product that underflows.
     """
-    if not np.abs(flat).max() <= _PRUNE_RANGE[1]:     # no square overflows
-        return None
-    F = float(np.sqrt((flat * flat).sum(axis=1)).max())
-    if not _PRUNE_RANGE[0] <= F <= _PRUNE_RANGE[1]:
-        return None
     m = len(flat)
     t = flat[:, ::n + 1].sum(axis=1)
     G = flat @ flat.reshape(m, n, n).transpose(0, 2, 1).reshape(m, n * n).T
@@ -220,19 +220,19 @@ def _abscissa_bound(flat: np.ndarray, n: int):
     return bound
 
 
-def _scan(grid: np.ndarray, flat: np.ndarray, n: int, evaluate,
-          bound) -> tuple[int, float]:
-    """Index and value of the first minimum of the abscissa over the rows
-    of grid, bit for bit as np.argmin over evaluate(grid) gives them.
+def _scan(grid: np.ndarray, evaluate, bound) -> tuple[int, float]:
+    """Index and value of the first minimum of evaluate over the rows of
+    grid, bit for bit as np.argmin over evaluate(grid) gives them.
 
-    With a bound (from _abscissa_bound), the rows go to evaluate
-    BLOCK_ROWS at a time in ascending order of their bounds, and only those
-    whose bound does not exceed the least value found so far: a row whose
-    bound exceeds it has a larger value, so it is no minimum.  The scan
-    ends at the first block whose least bound exceeds it.  A bound that is
-    not finite skips nothing.  Without a bound every row is evaluated, in
-    grid order.  Of equal least values, the row of least index is kept,
-    whatever the order of evaluation.
+    evaluate maps a (k, m) block of rows to their k values, and bound, if
+    not None, maps it to a lower bound on each.  With a bound the rows go
+    to evaluate BLOCK_ROWS at a time in ascending order of their bounds,
+    and only those whose bound does not exceed the least value found so
+    far: a row whose bound exceeds it has a larger value, so it is no
+    minimum.  The scan ends at the first block whose least bound exceeds
+    it.  A bound that is not finite skips nothing.  Without a bound every
+    row is evaluated, in grid order.  Of equal least values, the row of
+    least index is kept, whatever the order of evaluation.
     """
     if bound is None:
         lower, order = np.full(len(grid), -np.inf), np.arange(len(grid))
@@ -251,7 +251,7 @@ def _scan(grid: np.ndarray, flat: np.ndarray, n: int, evaluate,
         if stop == start:
             break
         rows = order[start:stop]
-        vals = evaluate(grid[rows], flat, n)
+        vals = evaluate(grid[rows])
         # the least row of least value, with that row's own value: 0.0
         # and -0.0 compare equal
         least = vals == vals.min()
@@ -276,30 +276,23 @@ def _sum(values: list) -> float:
     return total
 
 
-def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray, lean: bool):
-    """Minimise the abscissa at weights |z| / sum|z| over z, from x0.
+def _nelder_mead(f, x0: np.ndarray):
+    """Minimise f, a function of a list of floats that never returns NaN,
+    from x0.
 
     scipy.optimize's non-adaptive Nelder-Mead (scipy 1.17), operation for
     operation: the same initial simplex, centroid, trial points, shrink,
     np.argsort ordering and stopping rule, so every bit of the result
-    matches.  Points are evaluated one at a time, in scipy's order: each
-    initial vertex, the reflection, then only the expansion or the one
-    contraction its branch needs, and each shrink vertex.  Every point with
-    sum|z| > 0 is one evaluation; a point with sum|z| = 0 has value +inf
-    and is not counted.  When lean (find_stable_combination found that no
-    combination can overflow), a point is one _abscissa call on
-    |z| / sum|z|: one LAPACK call on one matrix, with the bits of
-    _abscissae on a one-row block but without the block's overhead.  A
-    point whose sum|z| overflows goes to _checked_abscissae, and so does
-    every point when not lean.
+    matches.  f gets each point once, in scipy's order: each initial
+    vertex, the reflection, then only the expansion or the one contraction
+    its branch needs, and each shrink vertex.
 
-    The simplex and the weights are kept in Python floats: scipy's numpy
-    expressions act elementwise, so each gives the same double in Python;
-    the centroid's np.add.reduce over axis 0 adds the rows in order from 0,
-    and sum|z| is _sum.  np.argsort stays in numpy (it need not keep ties
-    in order).  The repeat key is the bytes of the simplex and its values,
-    packed by struct as numpy would lay them out (a float comparison
-    equates 0.0 and -0.0).
+    The simplex is kept in Python floats: scipy's numpy expressions act
+    elementwise, so each gives the same double in Python; the centroid's
+    np.add.reduce over axis 0 adds the rows in order from 0.  np.argsort
+    stays in numpy (it need not keep ties in order).  The repeat key is
+    the bytes of the simplex and its values, packed by struct as numpy
+    would lay them out (a float comparison equates 0.0 and -0.0).
 
     Where the stopping rule cannot fire, the sorted simplex and its values
     often come to repeat bit for bit: at a coalescing eigenvalue the
@@ -309,24 +302,11 @@ def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray, lean: bool):
     value cannot fall: it stops at the first repeated state, with status
     "cycle".
 
-    Returns (x, value, iterations, status, evaluations), where status is
-    "converged", "maxiter" or "cycle".
+    Returns (x, value, iterations, status), where status is "converged",
+    "maxiter" or "cycle".
     """
     N = len(x0)
-    evaluations = 0
     pack = struct.Struct(f"{(N + 1) ** 2}d").pack
-
-    def f(z: list) -> float:
-        nonlocal evaluations
-        az = [abs(v) for v in z]
-        s = _sum(az)
-        if s <= 0.0:
-            return math.inf
-        evaluations += 1
-        if lean and s < math.inf:
-            return _abscissa(np.array(az) / s, flat, n)
-        return float(_checked_abscissae(np.array([[a / s for a in az]]),
-                                        flat, n)[0])
 
     def sorted_state(sim, fsim):
         """sim and fsim in np.argsort order of fsim, and their bytes."""
@@ -367,7 +347,7 @@ def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray, lean: bool):
             fxe = f(xe)
             if fxe < fxr:
                 x, fx = xe, fxe
-        elif fxr >= fsim[-2]:       # values are never NaN: spectrum raises
+        elif fxr >= fsim[-2]:       # values are never NaN
             if fxr < fsim[-1]:
                 x = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
                 fx = f(x)
@@ -388,7 +368,7 @@ def _nelder_mead(flat: np.ndarray, n: int, x0: np.ndarray, lean: bool):
             status = "cycle"
             break
         seen.add(state)
-    return np.array(sim[0]), np.min(fsim), iterations, status, evaluations
+    return np.array(sim[0]), np.min(fsim), iterations, status
 
 
 def find_stable_combination(matrices: Sequence[np.ndarray],
@@ -399,25 +379,29 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
     Coarse grid scan at the given resolution, in stacked eigenvalue calls,
     then a derivative-free refinement from the best grid point: the
     in-house Nelder-Mead of _nelder_mead, which reproduces scipy's result
-    bit for bit and evaluates one point at a time, as scipy does.  The
-    scan (_scan) skips every grid point whose certified lower bound on the
-    abscissa (_abscissa_bound: the trace gives the mean of the eigenvalues'
-    real parts and tr(A^2) a floor on their spread, less a margin for
-    rounding and LAPACK's backward error) exceeds a value already found;
-    such a point is no minimum, so the scan returns the first minimum in
-    grid order, and its value, bit for bit as a scan of every point does.
-    A refinement whose simplex comes back to an earlier state stops there;
-    evaluations counts every grid point, skipped or not, and every point
-    the refinement evaluates.
+    bit for bit and evaluates one point at a time, as scipy does, on the
+    abscissa at weights |z| / sum|z|.  The scan (_scan) skips every grid
+    point whose certified lower bound on the abscissa (_abscissa_bound:
+    the trace gives the mean of the eigenvalues' real parts and tr(A^2) a
+    floor on their spread, less a margin for rounding and LAPACK's
+    backward error) exceeds a value already found; such a point is no
+    minimum, so the scan returns the first minimum in grid order, and its
+    value, bit for bit as a scan of every point does.
+    A refinement whose simplex comes back to an earlier state stops there.
+    A refinement point whose sum|z| is 0 or overflows has value +inf;
+    evaluations counts every grid point, skipped or not, and every other
+    refinement point.
     The abscissa is nonsmooth, so no gradients are used.  The refinement's
     status ("converged", "maxiter" or "cycle") and iteration count are
     reported.  A single matrix is a one-point grid with no refinement.  The
     weights carry period 1.  No resolution means default_resolution(m).  A
     resolution that is not finite and positive, or whose grid would exceed
     MAX_GRID_ENTRIES weights, raises ValueError before any work.  The
-    search checks once that no combination can overflow and then evaluates
-    with the lean _abscissae; matrices with an entry beyond _LEAN_BOUND
-    take linalg.spectrum's checked path at every point.
+    family's scale is judged here, once, against _SCALE_RANGE: with every
+    entry within its top, the scan's blocks go to the lean _abscissae and
+    each refinement point to _abscissa (one LAPACK call on one matrix),
+    and the scan prunes if max_i ||A_i||_F lies in the range too; with a
+    larger entry both stages take linalg.spectrum's checked path, unpruned.
     """
     m = len(matrices)
     if m == 0:
@@ -431,23 +415,37 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
         if M.shape != (n, n):
             raise linalg.DimensionError("matrices must share a common dimension")
     flat = np.stack(mats).reshape(m, n * n)
-    # the one finiteness check of the search; beyond the bound every point
-    # takes the checked path
-    lean = bool(np.abs(flat).max() <= _LEAN_BOUND)
-    evaluate = _abscissae if lean else _checked_abscissae
+    # the search's one scale check, and its one finiteness check
+    low, high = _SCALE_RANGE
+    lean = bool(np.abs(flat).max() <= high)
+    F = float(np.sqrt((flat * flat).sum(axis=1)).max()) if lean else math.inf
+    block, one = ((_abscissae, _abscissa) if lean
+                  else (_checked_abscissae, _checked_abscissa))
+    bound = _abscissa_bound(flat, n, F) if low <= F <= high else None
 
     grid = _simplex_grid(m, steps)
     evaluations = len(grid)
+
+    def objective(z: list) -> float:
+        """The abscissa at |z| / sum|z| (sum|z| is np.sum's); +inf, and not
+        counted, where sum|z| is 0 or overflows."""
+        nonlocal evaluations
+        az = [abs(v) for v in z]
+        s = _sum(az)
+        if not 0.0 < s < math.inf:
+            return math.inf
+        evaluations += 1
+        return one(np.array(az) / s, flat, n)
+
     refinement = None
     # the scan and the refinement, under the one errstate _abscissae needs
     with np.errstate(invalid="ignore"):
-        best, best_val = _scan(grid, flat, n, evaluate,
-                               _abscissa_bound(flat, n))
+        best, best_val = _scan(grid, lambda alphas: block(alphas, flat, n),
+                               bound)
         best_alpha = grid[best]
         if m > 1:
-            x, fval, iterations, status, nm_evaluations = _nelder_mead(
-                flat, n, best_alpha + 1e-3, lean)
-            evaluations += nm_evaluations
+            x, fval, iterations, status = _nelder_mead(objective,
+                                                       best_alpha + 1e-3)
             refinement = {"status": status, "iterations": iterations}
             if fval < best_val:
                 z = np.abs(x)

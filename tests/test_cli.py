@@ -195,6 +195,22 @@ class TestAnalyze:
         pytest.param("--system", json.dumps({"n": 2.9, "subsystems": [
             {"A": presets.A1.tolist()}, {"A": presets.A2.tolist()}]}),
                      id="n-fraction"),
+        pytest.param("--system", json.dumps({"n": "2", "subsystems": [
+            {"A": presets.A1.tolist()}, {"A": presets.A2.tolist()}]}),
+                     id="n-string"),
+        pytest.param("--system", json.dumps({"subsystems": [
+            {"A": presets.A1.tolist()},
+            {"A": [["-1", 0], [0, -1]]}]}), id="A-string"),
+        pytest.param("--system", json.dumps({"subsystems": [
+            {"A": presets.A1.tolist(), "b": [0, "1"]},
+            {"A": presets.A2.tolist()}]}), id="b-string"),
+        pytest.param("--signal", '{"segments": [{"index": "1", "duration": 2},'
+                     ' {"index": 2, "duration": 2}]}', id="index-string"),
+        pytest.param("--signal", '{"segments": [{"index": 1, "duration": "2"},'
+                     ' {"index": 2, "duration": 2}]}', id="duration-string"),
+        pytest.param("--signal", '{"segments": [{"index": 1, "duration": 2},'
+                     ' {"index": 2, "duration": 2}], "eta": "2"}',
+                     id="eta-string"),
     ])
     def test_malformed_json_is_invalid(self, tmp_path, capsys,
                                        example1_files, flag, text):
@@ -208,6 +224,42 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (out / "analysis.json").exists()
+
+    @pytest.mark.parametrize("flag, text, message", [
+        pytest.param("--system", '{"subsystems": [{}]}',
+                     'subsystem 1 has no "A"', id="A-missing"),
+        pytest.param("--signal", '{"segments": [{"index": 1, "duration": 2},'
+                     ' {"index": 2}]}', 'segment 2 has no "duration"',
+                     id="duration-missing"),
+        pytest.param("--signal", '{"segments": [{"duration": 2}]}',
+                     'segment 1 has no "index"', id="index-missing"),
+    ])
+    def test_missing_field_is_named(self, tmp_path, capsys, example1_files,
+                                    flag, text, message):
+        paths = dict(zip(("--system", "--signal"), example1_files))
+        paths[flag] = tmp_path / "bad.json"
+        paths[flag].write_text(text)
+        code = run_cli(["analyze", "--system", paths["--system"],
+                        "--signal", paths["--signal"], "--out", tmp_path])
+        assert code == cli.EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("spec, message", [
+        pytest.param({"n": "1", "subsystems": [{"A": [[-1]], "b": [1]}]},
+                     '"n" must be an integer, got "1"', id="n"),
+        pytest.param({"n": 1, "subsystems": [{"A": [["-1"]], "b": [1]}]},
+                     'subsystem 1 "A" must hold numbers, not strings', id="A"),
+        pytest.param({"n": 1, "subsystems": [{"A": [[-1]], "b": ["1"]}]},
+                     'subsystem 1 "b" must hold numbers, not strings', id="b"),
+    ])
+    def test_synthesize_refuses_strings(self, tmp_path, capsys, spec,
+                                        message):
+        sys_path = tmp_path / "s.json"
+        sys_path.write_text(json.dumps(spec))
+        code = run_cli(["synthesize", "--system", sys_path,
+                        "--out", tmp_path / "out"])
+        assert code == cli.EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_single_stable_subsystem(self, tmp_path):
         sys_path = tmp_path / "s.json"

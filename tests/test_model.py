@@ -194,7 +194,7 @@ class TestJson:
         with pytest.raises(ValueError):
             system_from_dict({"n": 3, "subsystems": [{"A": [[1.0]]}]})
 
-    @pytest.mark.parametrize("n", [2.9, 2.5, True])
+    @pytest.mark.parametrize("n", [2.9, 2.5, True, "2"])
     def test_non_integral_dimension_refused(self, n):
         with pytest.raises(ValueError, match='"n" must be an integer'):
             system_from_dict({"n": n, "subsystems": [{"A": np.eye(2).tolist()}]})

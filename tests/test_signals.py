@@ -210,7 +210,7 @@ class TestJson:
                 "eta": 0.5}
         assert signal_from_dict(spec) == example_signal(0.5)
 
-    @pytest.mark.parametrize("index", [1.7, 2.9, True, False])
+    @pytest.mark.parametrize("index", [1.7, 2.9, True, False, "2"])
     def test_non_integral_index_refused(self, index):
         spec = {"segments": [{"index": index, "duration": 1.0}]}
         with pytest.raises(ValueError, match="segment index must be an integer"):

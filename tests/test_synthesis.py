@@ -176,7 +176,7 @@ class TestLeanAbscissae:
             raise AssertionError("lean evaluator used beyond its bound")
         monkeypatch.setattr(synthesis, "_abscissae", lean)
         monkeypatch.setattr(synthesis, "_abscissa", lean)
-        big = 2.0 * synthesis._LEAN_BOUND
+        big = np.finfo(float).max / 2
         matrices = [np.array([[-big, 1.0], [0.0, -1.0]]),
                     np.array([[1.0, 0.0], [big, -big]])]
         result = find_stable_combination(matrices, resolution=0.25)
@@ -197,6 +197,22 @@ def full_scan(grid, flat, n):
 def bits(value):
     """A float's bytes: equal bits, 0.0 and -0.0 apart."""
     return np.float64(value).tobytes()
+
+
+def pruning_bound(flat, n):
+    """_abscissa_bound where F = max_i ||A_i||_F lies in _SCALE_RANGE, as
+    find_stable_combination gives it to the scan, and None elsewhere."""
+    low, high = synthesis._SCALE_RANGE
+    F = float(np.sqrt((flat * flat).sum(axis=1)).max())
+    return synthesis._abscissa_bound(flat, n, F) if low <= F <= high else None
+
+
+def pruned_scan(grid, flat, n, evaluate=None):
+    """_scan with the bound find_stable_combination gives it, on
+    evaluate(alphas, flat, n), by default the lean _abscissae."""
+    evaluate = evaluate or synthesis._abscissae
+    return synthesis._scan(grid, lambda alphas: evaluate(alphas, flat, n),
+                           pruning_bound(flat, n))
 
 
 # scales 10^k: the bound prunes for |k| up to about 120 and is off beyond
@@ -252,8 +268,7 @@ class TestPrunedScan:
         grid = synthesis._simplex_grid(m, steps)
         with np.errstate(invalid="ignore"):
             want = full_scan(grid, flat, n)
-            got = synthesis._scan(grid, flat, n, synthesis._abscissae,
-                                  synthesis._abscissa_bound(flat, n))
+            got = pruned_scan(grid, flat, n)
         assert (got[0], bits(got[1])) == (want[0], bits(want[1]))
 
     @pytest.mark.parametrize("m, steps", [(2, 512), (3, 32), (4, 16), (5, 8)])
@@ -265,8 +280,7 @@ class TestPrunedScan:
         grid = synthesis._simplex_grid(m, steps)
         with np.errstate(invalid="ignore"):
             assert (synthesis._combinations(grid, flat, 4) == A).all()
-            got = synthesis._scan(grid, flat, 4, synthesis._abscissae,
-                                  synthesis._abscissa_bound(flat, 4))
+            got = pruned_scan(grid, flat, 4)
             assert got == full_scan(grid, flat, 4)
         assert got == (0, spectral_abscissa(A.astype(float)))
 
@@ -275,7 +289,7 @@ class TestPrunedScan:
     def test_bound_below_eigvals(self, stack, k, seed):
         flat, n = stack
         m = len(flat)
-        bound = synthesis._abscissa_bound(flat, n)
+        bound = pruning_bound(flat, n)
         if bound is None:
             return
         rng = np.random.default_rng(seed)
@@ -294,8 +308,7 @@ class TestPrunedScan:
             rows.extend(map(bytes, alphas))
             return synthesis._abscissae(alphas, flat, n)
         with np.errstate(invalid="ignore"):
-            got = synthesis._scan(grid, flat, 3, evaluate,
-                                  synthesis._abscissa_bound(flat, 3))
+            got = pruned_scan(grid, flat, 3, evaluate)
             assert got == full_scan(grid, flat, 3)
         assert len(set(rows)) == len(rows) < len(grid) // 2
 
@@ -307,10 +320,10 @@ class TestPrunedScan:
         # values 0.0 and -0.0 tie; the first row wins with its own sign,
         # in one block or several, in grid order or either order of the
         # (valid) bounds
-        def evaluate(alphas, flat, n):
+        def evaluate(alphas):
             return np.where(alphas[:, 0] > 0.5, first, -first)
         grid = synthesis._simplex_grid(2, steps)
-        got = synthesis._scan(grid, None, 1, evaluate, bound)
+        got = synthesis._scan(grid, evaluate, bound)
         assert (got[0], bits(got[1])) == (0, bits(first))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -326,23 +339,30 @@ class TestPrunedScan:
 
         rows = []
 
-        def evaluate(alphas, flat, n):
+        def evaluate(alphas):
             rows.extend(map(bytes, alphas))
-            return synthesis._abscissae(alphas, flat, n)
+            return synthesis._abscissae(alphas, flat, 3)
         flat = np.random.default_rng(3).normal(size=(2, 9))
         grid = synthesis._simplex_grid(2, 600)
         with np.errstate(invalid="ignore"):
-            synthesis._scan(grid, flat, 3, evaluate, bound)
+            synthesis._scan(grid, evaluate, bound)
         assert set(map(bytes, grid[odd(grid)])) == set(rows)
 
     @pytest.mark.parametrize("scale, prunes", [
         (0.0, False), (1e-125, False), (1e-118, True), (1.0, True),
         (1e118, True), (1e125, False), (1e300, False)])
-    def test_bound_off_outside_its_range(self, scale, prunes):
+    def test_bound_off_outside_its_range(self, monkeypatch, scale, prunes):
         # decided once per search from max ||A_i||_F: beyond the range a
         # square could overflow, below it a product could underflow
         flat = np.random.default_rng(5).normal(size=(3, 9)) * scale
-        assert (synthesis._abscissa_bound(flat, 3) is not None) == prunes
+        scan, bounds = synthesis._scan, []
+
+        def recording(grid, evaluate, bound):
+            bounds.append(bound)
+            return scan(grid, evaluate, bound)
+        monkeypatch.setattr(synthesis, "_scan", recording)
+        find_stable_combination(list(flat.reshape(3, 3, 3)), 0.25)
+        assert [bound is not None for bound in bounds] == [prunes]
 
     @settings(max_examples=150, deadline=None)
     @given(stacks(), st.integers(0, 2**32 - 1))
@@ -364,22 +384,29 @@ class TestPrunedScan:
                         == synthesis._abscissae(w[None], flat, n)[0].tobytes())
 
 
-def scipy_nelder_mead(flat, n, x0, maxiter=2000):
-    """scipy's Nelder-Mead from x0 on the one-row objective that
-    _nelder_mead evaluates.  Returns scipy's result and the weight rows the
-    objective evaluated, in order: one per counted evaluation."""
-    rows = []
-
+def one_row_objective(flat, n, rows, points):
+    """The refinement's objective as one-row _abscissae calls: the
+    abscissa at |z| / sum|z|, +inf where sum|z| is 0.  Appends the bytes of
+    every z to points and of each weight row it evaluates to rows."""
     def objective(z):
+        points.append(np.asarray(z, dtype=float).tobytes())
         az = np.abs(z)
         s = az.sum()
         if s <= 0.0:
             return np.inf
         rows.append((az / s).tobytes())
         return float(synthesis._abscissae((az / s)[None], flat, n)[0])
+    return objective
 
+
+def scipy_nelder_mead(flat, n, x0, maxiter=2000, points=None):
+    """scipy's Nelder-Mead from x0 on the one-row objective.  Returns
+    scipy's result and the weight rows the objective evaluated, in order:
+    one per counted evaluation; every point goes to points if given."""
+    rows = []
     res = scipy.optimize.minimize(
-        objective, x0, method="Nelder-Mead",
+        one_row_objective(flat, n, rows, [] if points is None else points),
+        x0, method="Nelder-Mead",
         options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": maxiter})
     return res, rows
 
@@ -488,15 +515,20 @@ class TestNelderMead:
                 for m, n in [(2, 2), (3, 3), (4, 2)]][k]
         m, n = mats.shape[:2]
         flat = mats.reshape(m, n * n)
-        x, value, nit, status, evaluations = synthesis._nelder_mead(
-            flat, n, np.zeros(m), True)
-        res, rows = scipy_nelder_mead(flat, n, np.zeros(m))
+        evaluated, points = [], []
+        x, value, nit, status = synthesis._nelder_mead(
+            one_row_objective(flat, n, evaluated, points), np.zeros(m))
+        scipy_points = []
+        res, rows = scipy_nelder_mead(flat, n, np.zeros(m),
+                                      points=scipy_points)
         assert np.array_equal(x, res.x)
         assert value == res.fun
         assert (nit, status) == (res.nit, {0: "converged",
                                             2: "maxiter"}[res.status])
         assert nit == iterations
-        assert evaluations == len(rows) == res.nfev - 1
+        # the same points in the same order, x0 = 0 among them
+        assert points == scipy_points and len(points) == res.nfev
+        assert evaluated == rows and len(rows) == res.nfev - 1
 
 
 def design_family(seed):
@@ -587,6 +619,85 @@ class TestFastForward:
         grid = synthesis._simplex_grid(3, 20)
         assert_scan_rows(calls, grid)
         assert len(points) == result.evaluations - len(grid)
+
+
+def lean_unpruned(matrices, resolution):
+    """find_stable_combination's report computed with the lean evaluators
+    and no pruning, whatever the scale: every grid row to _abscissae, and
+    each refinement point to _abscissa."""
+    m, n = len(matrices), len(matrices[0])
+    flat = np.stack(matrices).reshape(m, n * n)
+    grid = synthesis._simplex_grid(m, synthesis._grid_steps(m, resolution))
+    evaluations = len(grid)
+
+    def objective(z):
+        nonlocal evaluations
+        az = np.abs(z)
+        s = az.sum()
+        if not 0.0 < s < np.inf:
+            return np.inf
+        evaluations += 1
+        return synthesis._abscissa(az / s, flat, n)
+    with np.errstate(invalid="ignore"):
+        best, val = full_scan(grid, flat, n)
+        alpha = grid[best]
+        x, fval, iterations, status = synthesis._nelder_mead(objective,
+                                                             alpha + 1e-3)
+    if fval < val:
+        z = np.abs(x)
+        alpha, val = z / z.sum(), float(fval)
+    return {"alpha": alpha.tolist(), "period": 1.0, "abscissa": val,
+            "found": val < 0.0, "evaluations": evaluations,
+            "refinement": {"status": status, "iterations": iterations}}
+
+
+def forbid(monkeypatch, *names):
+    """Make each named synthesis evaluator fail the test if called."""
+    def forbidden(*args):
+        raise AssertionError("evaluator used outside its scale")
+    for name in names:
+        monkeypatch.setattr(synthesis, name, forbidden)
+
+
+class TestScaleRange:
+    """find_stable_combination judges the family's scale once: lean
+    evaluators with every entry within 2^400, pruning where max_i ||A_i||_F
+    lies in [2^-400, 2^400] too, and the checked path beyond."""
+
+    # largest |entry| of the family; 0 is the zero family
+    @pytest.mark.parametrize("scale, lean", [
+        (2.0 ** 401, False), (np.finfo(float).max / 8, False),
+        (1e125, False), (0.0, True), (1e-125, True)])
+    def test_equals_lean_unpruned(self, monkeypatch, scale, lean):
+        # the checked path makes the lean path's LAPACK call on the same
+        # matrices, so the reports agree bit for bit
+        mats = np.stack(design_family(0))
+        matrices = list(mats / np.abs(mats).max() * scale)
+        want = lean_unpruned(matrices, 0.05)
+        if lean:
+            forbid(monkeypatch, "_checked_abscissae", "_checked_abscissa",
+                   "_abscissa_bound")
+        else:
+            forbid(monkeypatch, "_abscissae", "_abscissa", "_abscissa_bound")
+        got = find_stable_combination(matrices, 0.05).to_dict()
+        assert repr(got) == repr(want)
+
+    def test_point_without_weights_not_counted(self, monkeypatch):
+        # sum|z| = 0 or overflowing: +inf, with no LAPACK call and no count
+        matrices = [presets.A1, presets.A2]
+        want = find_stable_combination(matrices, 0.1).to_dict()
+        nelder_mead, values = synthesis._nelder_mead, []
+
+        def probing(f, x0):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(linalg, "finite_spectrum", None)
+                patch.setattr(linalg, "spectrum", None)
+                values.extend(f(z) for z in ([0.0, -0.0], [1e308, 1e308],
+                                             [-np.inf, 1.0]))
+            return nelder_mead(f, x0)
+        monkeypatch.setattr(synthesis, "_nelder_mead", probing)
+        assert find_stable_combination(matrices, 0.1).to_dict() == want
+        assert values == [np.inf] * 3
 
 
 class TestResolution:
