@@ -132,12 +132,17 @@ class Weights:
 
 
 def average_system(sys: SwitchedSystem, w: Weights) -> SubSystem:
-    """Convex combination (sum_i alpha_i A_i, sum_i alpha_i b_i)."""
+    """Convex combination (sum_i alpha_i A_i, sum_i alpha_i b_i); raises
+    linalg.NumericalError where it overflows."""
     if w.m != sys.m:
         raise DimensionError(
             f"weights have length {w.m}, system has {sys.m} subsystems")
-    A = sum(a * sub.A for a, sub in zip(w.alpha, sys.subsystems))
-    b = sum(a * sub.b for a, sub in zip(w.alpha, sys.subsystems))
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = sum(a * sub.A for a, sub in zip(w.alpha, sys.subsystems))
+        b = sum(a * sub.b for a, sub in zip(w.alpha, sys.subsystems))
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise linalg.NumericalError("the average system sum_i alpha_i "
+                                    "(A_i, b_i) overflows")
     return SubSystem(A, b)
 
 
@@ -187,22 +192,23 @@ def json_int(value, name: str) -> int:
 
 
 def json_float(value, name: str) -> float:
-    """A real field of a JSON spec; a string raises ValueError instead of
-    being parsed."""
-    if isinstance(value, str):
+    """A real field of a JSON spec; a boolean or a string raises ValueError
+    instead of converting."""
+    if isinstance(value, (bool, str)):
         raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
     return float(value)
 
 
 def json_array(value, name: str) -> np.ndarray:
     """A field of a JSON spec that nests lists of numbers, as a float
-    array; a string anywhere in it raises ValueError instead of being
-    parsed."""
+    array; a boolean or a string anywhere in it raises ValueError instead
+    of converting."""
     pending = [value]       # a loop, not recursion: JSON nests deeply
     while pending:
         v = pending.pop()
-        if isinstance(v, str):
-            raise ValueError(f"{name} must hold numbers, not strings")
+        if isinstance(v, (bool, str)):
+            kind = "strings" if isinstance(v, str) else "booleans"
+            raise ValueError(f"{name} must hold numbers, not {kind}")
         if isinstance(v, list):
             pending.extend(v)
     return np.asarray(value, dtype=float)

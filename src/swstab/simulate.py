@@ -215,7 +215,7 @@ def _walk(durations: list[float], sample_times: list[float]):
     for t_s in sample_times:
         crossed = []
         # whole segments that end at or before the sample time
-        while t_seg + durations[seg_pos] <= t_s + 1e-12 * max(t_s, 1.0):
+        while t_seg + durations[seg_pos] <= t_s + 1e-12 * t_s:
             t_seg += durations[seg_pos]
             crossed.append((seg_pos, t_seg))
             seg_pos = (seg_pos + 1) % len(durations)
@@ -232,8 +232,10 @@ def simulate(sys: SwitchedSystem, sig: PeriodicSignal, x0: np.ndarray,
     switching instant reads the segment that begins there.  The walk is
     planned BLOCK_ROWS samples ahead: one segment_map call builds the maps
     the block needs that no earlier block built (the full-segment maps,
-    then one partial map per distinct (segment, offset rounded to 1e-12)
-    pair), and the block is then propagated.  More than MAX_STEPS samples
+    then one partial map per distinct pair of a segment and the offset's
+    fraction of it, rounded to 12 decimals), and the block is then
+    propagated.  A segment ends at a sample when its end lies within a
+    relative 1e-12 of the sample time.  More than MAX_STEPS samples
     plus segment crossings raises ValueError up front, as does an x0 that
     SwitchedSystem.state refuses.  As in poincare_maps, a map or a state
     that overflows leaves inf or nan without a warning, and the divergence
@@ -258,12 +260,17 @@ def simulate(sys: SwitchedSystem, sig: PeriodicSignal, x0: np.ndarray,
     partial: dict[tuple[int, float], int] = {}
     maps: list[AffineMap] = []
     pending = list(sig.segments)
-    walk = _walk([dur for _, dur in sig.segments], sample_times)
+    durations = [dur for _, dur in sig.segments]
+    walk = _walk(durations, sample_times)
+
+    def partial_key(seg_pos: int, tau: float) -> tuple[int, float]:
+        return seg_pos, round(tau / durations[seg_pos], 12)
+
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1, len(times), BLOCK_ROWS):
             block = [step for _, step in zip(range(BLOCK_ROWS), walk)]
             for _, _, seg_pos, tau in block:
-                key = (seg_pos, round(tau, 12))
+                key = partial_key(seg_pos, tau)
                 if tau > 0.0 and key not in partial:
                     partial[key] = len(maps) + len(pending)
                     pending.append((sig.segments[seg_pos].index, tau))
@@ -275,7 +282,7 @@ def simulate(sys: SwitchedSystem, sig: PeriodicSignal, x0: np.ndarray,
                 for pos, t_seg in crossed:
                     x = maps[pos](x)
                     _guard(x, t_seg, times, states, active, row)
-                x_s = (maps[partial[seg_pos, round(tau, 12)]](x) if tau > 0.0
+                x_s = (maps[partial[partial_key(seg_pos, tau)]](x) if tau > 0.0
                        else x)
                 _guard(x_s, t_s, times, states, active, row)
                 states[row] = x_s

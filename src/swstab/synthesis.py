@@ -55,11 +55,12 @@ class EtaSearchResult:
         }
 
 
-# The simplex search's one scale range.  Matrices with every entry within
-# its top evaluate with the lean _abscissae (no convex combination of them,
-# rounding included, overflows), and the scan prunes with _abscissa_bound
-# when max_i ||A_i||_F lies in it too: no square overflows, and every
-# rounding error the bound's margin covers is far above the subnormal range.
+# The simplex search's one scale range.  find_stable_combination scales a
+# family whose largest entry lies outside it by a power of two, so every
+# family it searches has its largest entry here or is 0: no convex
+# combination of it, rounding included, overflows; no square in
+# _abscissa_bound overflows; and every rounding error the bound's margin
+# covers is far above the subnormal range.
 _SCALE_RANGE = (2.0 ** -400, 2.0 ** 400)
 # Most simplex-grid entries (points x weights) a scan may hold: 100 MB.
 MAX_GRID_ENTRIES = 12_500_000
@@ -125,33 +126,20 @@ def _combinations(alphas: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
     return (alphas[:, None, :] @ flat).reshape(-1, n, n)
 
 
-def _checked_abscissae(alphas: np.ndarray, flat: np.ndarray,
-                       n: int) -> np.ndarray:
-    """_abscissae through linalg.spectrum, which refuses a non-finite
-    combination with NumericalError."""
-    return linalg.spectrum(_combinations(alphas, flat, n)).real.max(axis=-1)
-
-
-def _checked_abscissa(w: np.ndarray, flat: np.ndarray, n: int) -> float:
-    """_checked_abscissae for one weight vector w."""
-    return float(_checked_abscissae(w[None], flat, n)[0])
-
-
 def _abscissae(alphas: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
     """Spectral abscissa of sum_i alpha_i A_i for every row of a (k, m) block.
 
-    The search's lean evaluator: no finiteness check per call.  It is for
-    finite weights in [0, 1] and entries of flat within the top of
-    _SCALE_RANGE, whose combinations are finite; find_stable_combination
-    checks that once per search, and runs the search under
-    np.errstate(invalid="ignore").  A NaN abscissa, where LAPACK did not
-    converge, goes to _checked_abscissae, which raises linalg.spectrum's
+    No finiteness check per call: it is for finite weights in [0, 1] and a
+    flat whose largest entry lies in _SCALE_RANGE or is 0, whose
+    combinations are finite, as find_stable_combination scales every
+    family; the search runs under np.errstate(invalid="ignore").  A NaN
+    abscissa, where LAPACK did not converge, raises linalg.spectrum's
     NumericalError.
     """
-    vals = linalg.finite_spectrum(_combinations(alphas, flat, n)).real.max(
-        axis=-1)
+    mats = _combinations(alphas, flat, n)
+    vals = linalg.finite_spectrum(mats).real.max(axis=-1)
     if any(map(math.isnan, vals.tolist())):
-        return _checked_abscissae(alphas, flat, n)
+        return linalg.spectrum(mats).real.max(axis=-1)
     return vals
 
 
@@ -159,17 +147,19 @@ def _abscissa(w: np.ndarray, flat: np.ndarray, n: int) -> float:
     """_abscissae(w[None], flat, n)[0] for one weight vector w, bit for
     bit, without the block: the 1-d product w . flat rounds as
     _combinations' per-row product does, and LAPACK gets the one matrix.
-    The same conditions hold, and a NaN goes to _checked_abscissa."""
-    value = float(linalg.finite_spectrum(w.dot(flat).reshape(n, n)).real.max())
+    The same conditions hold, and a NaN raises the same NumericalError."""
+    M = w.dot(flat).reshape(n, n)
+    value = float(linalg.finite_spectrum(M).real.max())
     if math.isnan(value):
-        return _checked_abscissa(w, flat, n)
+        return float(linalg.spectrum(M).real.max())
     return value
 
 
-def _abscissa_bound(flat: np.ndarray, n: int, F: float):
+def _abscissa_bound(flat: np.ndarray, n: int):
     """A lower bound on the abscissa _abscissae computes for each row of a
-    (k, m) weight block, as a function of the block, for matrices with
-    F = max_i ||A_i||_F in _SCALE_RANGE (find_stable_combination checks it).
+    (k, m) weight block, as a function of the block, for matrices whose
+    largest entry lies in _SCALE_RANGE or is 0, as find_stable_combination
+    scales every family.
 
     The bound.  For a real n x n matrix A with eigenvalues lambda_j, let
     mu = tr A / n and T = tr(A^2) - n mu^2.  The real parts have mean mu,
@@ -200,11 +190,14 @@ def _abscissa_bound(flat: np.ndarray, n: int, F: float):
         F): c = 8 in mu.
     Each total is below K = 4 n^2 + 9 m + 5 p + 32, which leaves room for
     the rounding of F and of the weight sum; the bound subtracts K u F
-    from mu and K u F^2 from T before the square root.  In _SCALE_RANGE no
+    from mu and K u F^2 from T before the square root.  F lies within a
+    factor n of the largest entry, so with that entry in _SCALE_RANGE no
     square overflows, and every one of those terms is far above the
-    absolute error of a product that underflows.
+    absolute error of a product that underflows; for the zero family the
+    bound is its abscissa, 0.
     """
     m = len(flat)
+    F = float(np.sqrt((flat * flat).sum(axis=1)).max())
     t = flat[:, ::n + 1].sum(axis=1)
     G = flat @ flat.reshape(m, n, n).transpose(0, 2, 1).reshape(m, n * n).T
     K = (4 * n * n + 9 * m + 50 * n ** 3 + 32) * 2.0 ** -53
@@ -224,25 +217,21 @@ def _scan(grid: np.ndarray, evaluate, bound) -> tuple[int, float]:
     """Index and value of the first minimum of evaluate over the rows of
     grid, bit for bit as np.argmin over evaluate(grid) gives them.
 
-    evaluate maps a (k, m) block of rows to their k values, and bound, if
-    not None, maps it to a lower bound on each.  With a bound the rows go
-    to evaluate BLOCK_ROWS at a time in ascending order of their bounds,
-    and only those whose bound does not exceed the least value found so
-    far: a row whose bound exceeds it has a larger value, so it is no
-    minimum.  The scan ends at the first block whose least bound exceeds
-    it.  A bound that is not finite skips nothing.  Without a bound every
-    row is evaluated, in grid order.  Of equal least values, the row of
-    least index is kept, whatever the order of evaluation.
+    evaluate maps a (k, m) block of rows to their k values, and bound maps
+    it to a lower bound on each.  The rows go to evaluate BLOCK_ROWS at a
+    time in ascending order of their bounds, and only those whose bound
+    does not exceed the least value found so far: a row whose bound
+    exceeds it has a larger value, so it is no minimum.  The scan ends at
+    the first block whose least bound exceeds it.  A bound that is not
+    finite skips nothing.  Of equal least values, the row of least index
+    is kept, whatever the order of evaluation.
     """
-    if bound is None:
-        lower, order = np.full(len(grid), -np.inf), np.arange(len(grid))
-    else:
-        lower = np.empty(len(grid))
-        for k in range(0, len(grid), BLOCK_ROWS):
-            lower[k:k + BLOCK_ROWS] = bound(grid[k:k + BLOCK_ROWS])
-        lower[~np.isfinite(lower)] = -np.inf
-        order = lower.argsort()
-        lower.sort()            # lower[k] is now the bound of row order[k]
+    lower = np.empty(len(grid))
+    for k in range(0, len(grid), BLOCK_ROWS):
+        lower[k:k + BLOCK_ROWS] = bound(grid[k:k + BLOCK_ROWS])
+    lower[~np.isfinite(lower)] = -np.inf
+    order = lower.argsort()
+    lower.sort()                # lower[k] is now the bound of row order[k]
     best, best_val = -1, math.inf
     start = 0
     while start < len(grid):
@@ -397,11 +386,16 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
     weights carry period 1.  No resolution means default_resolution(m).  A
     resolution that is not finite and positive, or whose grid would exceed
     MAX_GRID_ENTRIES weights, raises ValueError before any work.  The
-    family's scale is judged here, once, against _SCALE_RANGE: with every
-    entry within its top, the scan's blocks go to the lean _abscissae and
-    each refinement point to _abscissa (one LAPACK call on one matrix),
-    and the scan prunes if max_i ||A_i||_F lies in the range too; with a
-    larger entry both stages take linalg.spectrum's checked path, unpruned.
+    family's scale is judged here, once: a family whose largest entry is
+    not 0 and lies outside _SCALE_RANGE is scaled by the power of two that
+    brings that entry into [0.5, 1) (an entry that becomes subnormal may
+    round).  The abscissa is positively homogeneous, so the weights,
+    found, evaluations and refinement are those of the scaled family, and
+    the abscissa reported is its value scaled back, or inf where that
+    overflows.  Inside the range the family is searched as given, since
+    LAPACK's abscissa is not bitwise equivariant under the scaling.  At
+    every scale the scan's blocks go to _abscissae and each refinement
+    point to _abscissa (one LAPACK call on one matrix).
     """
     m = len(matrices)
     if m == 0:
@@ -415,13 +409,12 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
         if M.shape != (n, n):
             raise linalg.DimensionError("matrices must share a common dimension")
     flat = np.stack(mats).reshape(m, n * n)
-    # the search's one scale check, and its one finiteness check
+    # the search's one scale check: the power of two 2^shift is exact
+    # unless an entry becomes subnormal, and keeps every abscissa's sign
+    top = float(np.abs(flat).max())
     low, high = _SCALE_RANGE
-    lean = bool(np.abs(flat).max() <= high)
-    F = float(np.sqrt((flat * flat).sum(axis=1)).max()) if lean else math.inf
-    block, one = ((_abscissae, _abscissa) if lean
-                  else (_checked_abscissae, _checked_abscissa))
-    bound = _abscissa_bound(flat, n, F) if low <= F <= high else None
+    shift = 0 if top == 0.0 or low <= top <= high else -math.frexp(top)[1]
+    flat = np.ldexp(flat, shift)
 
     grid = _simplex_grid(m, steps)
     evaluations = len(grid)
@@ -435,13 +428,14 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
         if not 0.0 < s < math.inf:
             return math.inf
         evaluations += 1
-        return one(np.array(az) / s, flat, n)
+        return _abscissa(np.array(az) / s, flat, n)
 
     refinement = None
     # the scan and the refinement, under the one errstate _abscissae needs
     with np.errstate(invalid="ignore"):
-        best, best_val = _scan(grid, lambda alphas: block(alphas, flat, n),
-                               bound)
+        best, best_val = _scan(grid,
+                               lambda alphas: _abscissae(alphas, flat, n),
+                               _abscissa_bound(flat, n))
         best_alpha = grid[best]
         if m > 1:
             x, fval, iterations, status = _nelder_mead(objective,
@@ -450,10 +444,12 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
             if fval < best_val:
                 z = np.abs(x)
                 best_alpha, best_val = z / z.sum(), float(fval)
+    with np.errstate(over="ignore"):
+        abscissa = float(np.ldexp(best_val, -shift))
 
     return CombinationResult(
         weights=Weights(best_alpha),
-        abscissa=float(best_val),
+        abscissa=abscissa,
         found=bool(best_val < 0.0),
         evaluations=evaluations,
         refinement=refinement,

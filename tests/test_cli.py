@@ -67,6 +67,20 @@ def test_overflowing_monodromy_is_numerical_failure(tmp_path, capsys, command):
     assert "numerical failure: " in capsys.readouterr().err
 
 
+def test_overflowing_average_is_numerical_failure(tmp_path, capsys):
+    # the simplex search scales this family by 2^-1024 and finds it
+    # stable; the eta search's average system then overflows
+    big = np.finfo(float).max
+    sys_path, _ = write_specs(tmp_path, [
+        (-big * np.eye(2)).tolist(), [[-big, 1.0], [0.0, -big]],
+        [[-big, 0.0], [1.0, -big]]], [1.0])
+    code = run_cli(["synthesize", "--system", sys_path, "--out", tmp_path])
+    assert code == cli.EXIT_NUMERICAL
+    assert "average system" in capsys.readouterr().err
+    # its abscissa, at most -max, is written as a number or null
+    assert strict_json(tmp_path / "combination.json")["found"]
+
+
 @pytest.mark.parametrize("command, run, code", [
     pytest.param("simulate", ["--t-end", "4", "--dt", "0.5"],
                  cli.EXIT_UNSTABLE, id="simulate"),
@@ -211,6 +225,17 @@ class TestAnalyze:
         pytest.param("--signal", '{"segments": [{"index": 1, "duration": 2},'
                      ' {"index": 2, "duration": 2}], "eta": "2"}',
                      id="eta-string"),
+        pytest.param("--system", json.dumps({"subsystems": [
+            {"A": presets.A1.tolist()},
+            {"A": [[-1.0, True], [0, -1]]}]}), id="A-bool"),
+        pytest.param("--system", json.dumps({"subsystems": [
+            {"A": presets.A1.tolist(), "b": [0, False]},
+            {"A": presets.A2.tolist()}]}), id="b-bool"),
+        pytest.param("--signal", '{"segments": [{"index": 1, "duration": true},'
+                     ' {"index": 2, "duration": 2}]}', id="duration-bool"),
+        pytest.param("--signal", '{"segments": [{"index": 1, "duration": 2},'
+                     ' {"index": 2, "duration": 2}], "eta": true}',
+                     id="eta-bool"),
     ])
     def test_malformed_json_is_invalid(self, tmp_path, capsys,
                                        example1_files, flag, text):

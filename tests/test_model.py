@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swstab.linalg import DimensionError
+from swstab.linalg import DimensionError, NumericalError
 from swstab.model import (EquilibriumError, SubSystem, SwitchedSystem,
                           Weights, average_system, common_equilibrium,
                           equilibrium, load_system, system_from_dict,
@@ -96,6 +96,16 @@ class TestAverageSystem:
     def test_length_mismatch(self, example1):
         with pytest.raises(DimensionError):
             average_system(example1, Weights(np.array([1.0]), 1.0))
+
+    def test_overflow_is_numerical_error(self):
+        # valid subsystems whose convex combination overflows: a numerical
+        # failure, not invalid input, and no RuntimeWarning
+        big = np.finfo(float).max
+        sys_ = SwitchedSystem(tuple(SubSystem(A, np.zeros(2)) for A in (
+            -big * np.eye(2), np.array([[-big, 1.0], [0.0, -big]]),
+            np.array([[-big, 0.0], [1.0, -big]]))))
+        with pytest.raises(NumericalError, match="overflows"):
+            average_system(sys_, Weights(np.array([0.5, 0.1, 0.4]), 1.0))
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.01, 0.99))

@@ -51,13 +51,13 @@ def simulate_reference(sys_, sig, x0, t_end, dt):
     pos, t_seg, x = 0, 0.0, np.array(x0, dtype=float)
     states, active = [x], [sig.segments[0].index]
     for t in sample_times:
-        while t_seg + sig.segments[pos].duration <= t + 1e-12 * max(t, 1.0):
+        while t_seg + sig.segments[pos].duration <= t + 1e-12 * t:
             x = full[pos](x)
             t_seg += sig.segments[pos].duration
             pos = (pos + 1) % len(sig.segments)
         idx, tau = sig.segments[pos].index, t - t_seg
         if tau > 0.0:
-            key = (pos, round(tau, 12))
+            key = (pos, round(tau / sig.segments[pos].duration, 12))
             if key not in partial:
                 partial[key] = segment_reference(sys_.subsystem(idx), tau)
             states.append(partial[key](x))
@@ -75,7 +75,7 @@ def walk_labels(sig, t_end, dt):
         times.append(t_end)
     pos, t_seg, labels = 0, 0.0, [sig.segments[0].index]
     for t in times:
-        while t_seg + sig.segments[pos].duration <= t + 1e-12 * max(t, 1.0):
+        while t_seg + sig.segments[pos].duration <= t + 1e-12 * t:
             t_seg += sig.segments[pos].duration
             pos = (pos + 1) % len(sig.segments)
         labels.append(sig.segments[pos].index)
@@ -190,6 +190,31 @@ class TestSimulate:
         traj = simulate(example1, sig, np.array([1.0, 0.0]), t_end, 0.05)
         np.testing.assert_array_equal(traj.active,
                                       walk_labels(sig, t_end, 0.05))
+
+    def test_fine_period_equals_exact_walk(self, example1):
+        # a period of 4e-13: the walk's tolerance and the partial-map key
+        # are relative, so no sample is labelled or propagated as if a
+        # segment had ended early or its offset were another's
+        sig = example_signal(1e-13)
+        period, x0 = sig.period, np.array([1.0, 0.5])
+        traj = simulate(example1, sig, x0, 50 * period, period / 8)
+        pos, t_seg, x = 0, 0.0, x0
+        states, active = [x0], [sig.segments[0].index]
+        for t in traj.times[1:].tolist():
+            while t_seg + sig.segments[pos].duration <= t + 1e-12 * t:
+                x = segment_reference(example1.subsystem(
+                    sig.segments[pos].index), sig.segments[pos].duration)(x)
+                t_seg += sig.segments[pos].duration
+                pos = (pos + 1) % len(sig.segments)
+            index = sig.segments[pos].index
+            states.append(segment_reference(example1.subsystem(index),
+                                            t - t_seg)(x))
+            active.append(index)
+        np.testing.assert_array_equal(traj.active, active)
+        displacement = np.abs(states[-1] - x0).max()
+        assert displacement > 1e-11
+        np.testing.assert_allclose(traj.states, states, rtol=0.0,
+                                   atol=1e-6 * displacement)
 
     def test_switching_instant_reads_new_segment(self, example1):
         # segments of 2.2: subsystem 2 begins at t = 2 * 4.4 + 2.2 = 11.0

@@ -1,9 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swstab import presets, synthesis
@@ -171,17 +172,19 @@ class TestLeanAbscissae:
         with pytest.raises(NumericalError, match="did not converge"):
             find_stable_combination([presets.A1, presets.A2], resolution=0.1)
 
-    def test_beyond_bound_takes_checked_path(self, monkeypatch):
-        def lean(*args):
-            raise AssertionError("lean evaluator used beyond its bound")
-        monkeypatch.setattr(synthesis, "_abscissae", lean)
-        monkeypatch.setattr(synthesis, "_abscissa", lean)
+    def test_beyond_range_is_rescaled(self):
+        # the largest entry, finfo.max / 2 = (1 - 2^-53) 2^1023, goes to
+        # [0.5, 1) under 2^-1023; 1.0 becomes 2^-1023, a subnormal, exactly
         big = np.finfo(float).max / 2
         matrices = [np.array([[-big, 1.0], [0.0, -1.0]]),
                     np.array([[1.0, 0.0], [big, -big]])]
+        scaled = [np.ldexp(M, -1023) for M in matrices]
         result = find_stable_combination(matrices, resolution=0.25)
-        mix = sum(a * M for a, M in zip(result.weights.alpha, matrices))
-        assert result.abscissa == spectral_abscissa(mix)
+        want = find_stable_combination(scaled, resolution=0.25).to_dict()
+        mix = sum(a * M for a, M in zip(result.weights.alpha, scaled))
+        assert result.abscissa == np.ldexp(spectral_abscissa(mix), 1023)
+        assert result.to_dict() == {**want, "abscissa": np.ldexp(
+            want["abscissa"], 1023)}
 
 
 def full_scan(grid, flat, n):
@@ -199,23 +202,40 @@ def bits(value):
     return np.float64(value).tobytes()
 
 
-def pruning_bound(flat, n):
-    """_abscissa_bound where F = max_i ||A_i||_F lies in _SCALE_RANGE, as
-    find_stable_combination gives it to the scan, and None elsewhere."""
+def search_shift(flat):
+    """The power of two, as an exponent, by which find_stable_combination
+    scales a family: 0 where its largest entry is 0 or lies in
+    _SCALE_RANGE, else the one that brings that entry into [0.5, 1)."""
     low, high = synthesis._SCALE_RANGE
-    F = float(np.sqrt((flat * flat).sum(axis=1)).max())
-    return synthesis._abscissa_bound(flat, n, F) if low <= F <= high else None
+    top = float(np.abs(flat).max())
+    return 0 if top == 0.0 or low <= top <= high else -math.frexp(top)[1]
+
+
+def pruning_bound(flat, n):
+    """_abscissa_bound where the family's largest entry lies in
+    _SCALE_RANGE or is 0, as find_stable_combination gives it to the
+    scan, and None elsewhere."""
+    if search_shift(flat) != 0:
+        return None
+    return synthesis._abscissa_bound(flat, n)
+
+
+def no_bound(alphas):
+    """A bound that rules out nothing: every row's is -inf."""
+    return np.full(len(alphas), -np.inf)
 
 
 def pruned_scan(grid, flat, n, evaluate=None):
     """_scan with the bound find_stable_combination gives it, on
-    evaluate(alphas, flat, n), by default the lean _abscissae."""
+    evaluate(alphas, flat, n), by default the lean _abscissae; a family
+    outside the bound's range is scanned with no_bound, unpruned."""
     evaluate = evaluate or synthesis._abscissae
     return synthesis._scan(grid, lambda alphas: evaluate(alphas, flat, n),
-                           pruning_bound(flat, n))
+                           pruning_bound(flat, n) or no_bound)
 
 
-# scales 10^k: the bound prunes for |k| up to about 120 and is off beyond
+# scales 10^k: the bound prunes for |k| up to about 120; beyond, the
+# family is scanned unpruned here (find_stable_combination rescales it)
 SCALES = st.integers(-125, 125) | st.sampled_from([-3, 0, 3])
 
 
@@ -318,12 +338,13 @@ class TestPrunedScan:
                                        lambda alphas: alphas[:, 0] - 1.0])
     def test_signed_zero_ties(self, steps, first, bound):
         # values 0.0 and -0.0 tie; the first row wins with its own sign,
-        # in one block or several, in grid order or either order of the
+        # in one block or several, with bounds that rule out nothing (None:
+        # all -inf, so argsort orders the rows) or either order of the
         # (valid) bounds
         def evaluate(alphas):
             return np.where(alphas[:, 0] > 0.5, first, -first)
         grid = synthesis._simplex_grid(2, steps)
-        got = synthesis._scan(grid, evaluate, bound)
+        got = synthesis._scan(grid, evaluate, bound or no_bound)
         assert (got[0], bits(got[1])) == (0, bits(first))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -348,21 +369,28 @@ class TestPrunedScan:
             synthesis._scan(grid, evaluate, bound)
         assert set(map(bytes, grid[odd(grid)])) == set(rows)
 
-    @pytest.mark.parametrize("scale, prunes", [
-        (0.0, False), (1e-125, False), (1e-118, True), (1.0, True),
-        (1e118, True), (1e125, False), (1e300, False)])
-    def test_bound_off_outside_its_range(self, monkeypatch, scale, prunes):
-        # decided once per search from max ||A_i||_F: beyond the range a
-        # square could overflow, below it a product could underflow
+    @pytest.mark.parametrize("scale, as_given", [
+        (1e-125, False), (1e-118, True), (1.0, True), (1e118, True),
+        (1e125, False), (1e300, False)])
+    def test_bound_off_outside_its_range(self, monkeypatch, scale,
+                                         as_given):
+        # the bound never sees a family whose largest entry lies outside
+        # _SCALE_RANGE (beyond it a square could overflow, below it a
+        # product could underflow): the search scales it into [0.5, 1)
+        # first, once, by a power of two
         flat = np.random.default_rng(5).normal(size=(3, 9)) * scale
-        scan, bounds = synthesis._scan, []
+        bound, seen = synthesis._abscissa_bound, []
 
-        def recording(grid, evaluate, bound):
-            bounds.append(bound)
-            return scan(grid, evaluate, bound)
-        monkeypatch.setattr(synthesis, "_scan", recording)
+        def recording(flat, n):
+            seen.append(flat)
+            return bound(flat, n)
+        monkeypatch.setattr(synthesis, "_abscissa_bound", recording)
         find_stable_combination(list(flat.reshape(3, 3, 3)), 0.25)
-        assert [bound is not None for bound in bounds] == [prunes]
+        [got] = seen
+        assert np.array_equal(got, flat) == as_given
+        assert np.array_equal(got, np.ldexp(flat, search_shift(flat)))
+        low, high = synthesis._SCALE_RANGE
+        assert low <= np.abs(got).max() <= high
 
     @settings(max_examples=150, deadline=None)
     @given(stacks(), st.integers(0, 2**32 - 1))
@@ -623,8 +651,8 @@ class TestFastForward:
 
 def lean_unpruned(matrices, resolution):
     """find_stable_combination's report computed with the lean evaluators
-    and no pruning, whatever the scale: every grid row to _abscissae, and
-    each refinement point to _abscissa."""
+    and no pruning, on the family as given: every grid row to _abscissae,
+    and each refinement point to _abscissa."""
     m, n = len(matrices), len(matrices[0])
     flat = np.stack(matrices).reshape(m, n * n)
     grid = synthesis._simplex_grid(m, synthesis._grid_steps(m, resolution))
@@ -651,36 +679,84 @@ def lean_unpruned(matrices, resolution):
             "refinement": {"status": status, "iterations": iterations}}
 
 
-def forbid(monkeypatch, *names):
-    """Make each named synthesis evaluator fail the test if called."""
-    def forbidden(*args):
-        raise AssertionError("evaluator used outside its scale")
-    for name in names:
-        monkeypatch.setattr(synthesis, name, forbidden)
+def max_float_family():
+    """Three Hurwitz matrices -max I, two with a 1 off the diagonal, max
+    the largest float: every convex combination of them overflows."""
+    big = np.finfo(float).max
+    return [-big * np.eye(2), np.array([[-big, 1.0], [0.0, -big]]),
+            np.array([[-big, 0.0], [1.0, -big]])]
+
+
+@st.composite
+def unit_families(draw):
+    """(matrices, resolution, k): a family from stacks() whose largest
+    entry lies in [0.5, 1), and a power of two 2^k that takes that entry
+    outside _SCALE_RANGE and leaves every nonzero entry a normal float."""
+    flat, n = draw(stacks())
+    top = np.abs(flat).max()
+    assume(top > 0.0)
+    flat = np.ldexp(flat, -math.frexp(top)[1])
+    nonzero = np.abs(flat[flat != 0.0])
+    assume(nonzero.min() >= np.finfo(float).tiny)
+    # least nonzero entry e >= 2^(j - 1), with j its frexp exponent: 2^k e
+    # is normal, at least 2^-1022, for k >= -1021 - j
+    least = -1021 - math.frexp(nonzero.min())[1]
+    ks = st.integers(402, 1023)
+    if least <= -401:
+        ks |= st.integers(least, -401)
+    k = draw(ks)
+    steps = draw(st.integers(1, {1: 1, 2: 12, 3: 5, 4: 3, 5: 2}[len(flat)]))
+    return list(flat.reshape(-1, n, n)), 1.0 / steps, k
 
 
 class TestScaleRange:
-    """find_stable_combination judges the family's scale once: lean
-    evaluators with every entry within 2^400, pruning where max_i ||A_i||_F
-    lies in [2^-400, 2^400] too, and the checked path beyond."""
+    """find_stable_combination judges the family's scale once: a family
+    whose largest entry lies outside [2^-400, 2^400] (and is not 0) is
+    searched scaled into [0.5, 1) by a power of two, with the lean
+    evaluators and the bound, as every other family is."""
 
-    # largest |entry| of the family; 0 is the zero family
-    @pytest.mark.parametrize("scale, lean", [
+    # largest |entry| of the family; 0 is the zero family.  up: the power
+    # of two is at least 1 (the family is left or scaled up), so no bit of
+    # the family is lost
+    @pytest.mark.parametrize("scale, up", [
         (2.0 ** 401, False), (np.finfo(float).max / 8, False),
         (1e125, False), (0.0, True), (1e-125, True)])
-    def test_equals_lean_unpruned(self, monkeypatch, scale, lean):
-        # the checked path makes the lean path's LAPACK call on the same
-        # matrices, so the reports agree bit for bit
+    def test_equals_lean_unpruned(self, monkeypatch, scale, up):
+        # the report of the family as the search scales it, with the
+        # abscissa scaled back; never the checked linalg.spectrum
         mats = np.stack(design_family(0))
-        matrices = list(mats / np.abs(mats).max() * scale)
-        want = lean_unpruned(matrices, 0.05)
-        if lean:
-            forbid(monkeypatch, "_checked_abscissae", "_checked_abscissa",
-                   "_abscissa_bound")
-        else:
-            forbid(monkeypatch, "_abscissae", "_abscissa", "_abscissa_bound")
-        got = find_stable_combination(matrices, 0.05).to_dict()
+        matrices = mats / np.abs(mats).max() * scale
+        shift = search_shift(matrices)
+        assert (shift >= 0) == up
+        scaled = np.ldexp(matrices, shift)
+        if up:
+            assert np.array_equal(np.ldexp(scaled, -shift), matrices)
+        want = lean_unpruned(list(scaled), 0.05)
+        want["abscissa"] = float(np.ldexp(want["abscissa"], -shift))
+        monkeypatch.setattr(linalg, "spectrum", None)
+        got = find_stable_combination(list(matrices), 0.05).to_dict()
         assert repr(got) == repr(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(unit_families())
+    def test_power_of_two_equivariant(self, family):
+        # the scaled family's report is the family's, bit for bit, with
+        # the abscissa times 2^k
+        matrices, resolution, k = family
+        want = find_stable_combination(matrices, resolution).to_dict()
+        got = find_stable_combination([np.ldexp(M, k) for M in matrices],
+                                      resolution).to_dict()
+        assert bits(got.pop("abscissa")) == bits(
+            np.ldexp(want.pop("abscissa"), k))
+        assert repr(got) == repr(want)
+
+    def test_max_float_family_found(self):
+        # every combination overflows; scaled by 2^-1024 none does.  The
+        # abscissa of each exact combination is at most -max, so it scales
+        # back to -max or beyond, -inf
+        result = find_stable_combination(max_float_family())
+        assert result.found
+        assert result.abscissa <= -np.finfo(float).max
 
     def test_point_without_weights_not_counted(self, monkeypatch):
         # sum|z| = 0 or overflowing: +inf, with no LAPACK call and no count
