@@ -388,14 +388,14 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
     MAX_GRID_ENTRIES weights, raises ValueError before any work.  The
     family's scale is judged here, once: a family whose largest entry is
     not 0 and lies outside _SCALE_RANGE is scaled by the power of two that
-    brings that entry into [0.5, 1) (an entry that becomes subnormal may
-    round).  The abscissa is positively homogeneous, so the weights,
-    found, evaluations and refinement are those of the scaled family, and
-    the abscissa reported is its value scaled back, or inf where that
-    overflows.  Inside the range the family is searched as given, since
-    LAPACK's abscissa is not bitwise equivariant under the scaling.  At
-    every scale the scan's blocks go to _abscissae and each refinement
-    point to _abscissa (one LAPACK call on one matrix).
+    brings that entry into [0.5, 1); where that rounds an entry (one that
+    becomes subnormal) it raises linalg.NumericalError.  The abscissa is
+    positively homogeneous, so the weights, found, evaluations and
+    refinement are those of the scaled family, and the abscissa reported
+    is its value scaled back, or inf where that overflows.  Inside the
+    range the family is searched as given, since LAPACK's abscissa is not
+    bitwise equivariant under the scaling.  At every scale the scan's
+    blocks go to _abscissae and each refinement point to _abscissa.
     """
     m = len(matrices)
     if m == 0:
@@ -409,12 +409,14 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
         if M.shape != (n, n):
             raise linalg.DimensionError("matrices must share a common dimension")
     flat = np.stack(mats).reshape(m, n * n)
-    # the search's one scale check: the power of two 2^shift is exact
-    # unless an entry becomes subnormal, and keeps every abscissa's sign
+    # the one scale check: 2^shift keeps signs, and only scaling down rounds
     top = float(np.abs(flat).max())
     low, high = _SCALE_RANGE
     shift = 0 if top == 0.0 or low <= top <= high else -math.frexp(top)[1]
-    flat = np.ldexp(flat, shift)
+    flat, given = np.ldexp(flat, shift), flat
+    if shift < 0 and not np.array_equal(np.ldexp(flat, -shift), given):
+        raise linalg.NumericalError(f"scaling the family by 2^{shift} rounds "
+                                    f"an entry: they span too wide a range")
 
     grid = _simplex_grid(m, steps)
     evaluations = len(grid)

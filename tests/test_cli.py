@@ -81,6 +81,17 @@ def test_overflowing_average_is_numerical_failure(tmp_path, capsys):
     assert strict_json(tmp_path / "combination.json")["found"]
 
 
+def test_rounding_scale_is_numerical_failure(tmp_path, capsys):
+    # unstable (eigenvalues -0.5 +- 1), but the simplex search's power of
+    # two would round 1e-300 to 0: no verdict, and no report
+    sys_path, _ = write_specs(tmp_path, [[[-0.5, 1e300], [1e-300, -0.5]]],
+                              [1.0])
+    code = run_cli(["synthesize", "--system", sys_path, "--out", tmp_path])
+    assert code == cli.EXIT_NUMERICAL
+    assert "rounds an entry" in capsys.readouterr().err
+    assert not (tmp_path / "combination.json").exists()
+
+
 @pytest.mark.parametrize("command, run, code", [
     pytest.param("simulate", ["--t-end", "4", "--dt", "0.5"],
                  cli.EXIT_UNSTABLE, id="simulate"),

@@ -374,10 +374,10 @@ class TestPrunedScan:
         (1e125, False), (1e300, False)])
     def test_bound_off_outside_its_range(self, monkeypatch, scale,
                                          as_given):
-        # the bound never sees a family whose largest entry lies outside
-        # _SCALE_RANGE (beyond it a square could overflow, below it a
-        # product could underflow): the search scales it into [0.5, 1)
-        # first, once, by a power of two
+        # the bound is kept off every family as given whose largest entry
+        # lies outside _SCALE_RANGE (beyond it a square could overflow,
+        # below it a product could underflow): it sees the family as the
+        # search scales it into [0.5, 1), once, by a power of two
         flat = np.random.default_rng(5).normal(size=(3, 9)) * scale
         bound, seen = synthesis._abscissa_bound, []
 
@@ -757,6 +757,18 @@ class TestScaleRange:
         result = find_stable_combination(max_float_family())
         assert result.found
         assert result.abscissa <= -np.finfo(float).max
+
+    def test_rounding_scale_is_numerical_error(self):
+        # eigenvalues -0.5 +- 1: unstable, as LAPACK finds.  Scaled by
+        # 2^-665, 1e-200 would round to 0 and leave a stable triangular
+        # matrix, so the search refuses the family rather than report a
+        # verdict on another one
+        M = np.array([[-0.5, 1e200], [1e-200, -0.5]])
+        assert spectral_abscissa(M) == pytest.approx(0.5)
+        with pytest.raises(NumericalError, match="rounds an entry"):
+            find_stable_combination([M])
+        with pytest.raises(NumericalError, match=r"2\^-665"):
+            find_stable_combination([M, -np.eye(2)], 0.5)
 
     def test_point_without_weights_not_counted(self, monkeypatch):
         # sum|z| = 0 or overflowing: +inf, with no LAPACK call and no count
