@@ -3,6 +3,7 @@ dwell-time scale at which the constructed periodic signal still stabilises."""
 
 from __future__ import annotations
 
+import bisect
 import math
 import struct
 from dataclasses import dataclass
@@ -143,16 +144,37 @@ def _abscissae(alphas: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
     return vals
 
 
-def _abscissa(w: np.ndarray, flat: np.ndarray, n: int) -> float:
-    """_abscissae(w[None], flat, n)[0] for one weight vector w, bit for
-    bit, without the block: the 1-d product w . flat rounds as
-    _combinations' per-row product does, and LAPACK gets the one matrix.
-    The same conditions hold, and a NaN raises the same NumericalError."""
-    M = w.dot(flat).reshape(n, n)
-    value = float(linalg.finite_spectrum(M).real.max())
-    if math.isnan(value):
-        return float(linalg.spectrum(M).real.max())
-    return value
+def _point_abscissa(flat: np.ndarray, n: int):
+    """The refinement's one-point evaluator: a function of a list w of m
+    weights that returns _abscissae(np.array(w)[None], flat, n)[0] as a
+    float, bit for bit, under the same conditions.
+
+    It writes w into a buffer and the matrix with the ndarray method
+    dot(..., out=...), np.dot without its wrapper, whose 1-d product
+    rounds as _combinations' per-row product does; it gives LAPACK the one
+    matrix (one linalg.finite_spectrum call per point) and takes Python's
+    max over the real parts.  That max keeps the first of equal
+    values and numpy's the last, which differ only between 0.0 and -0.0,
+    and it can pass over a NaN; so where the max is zero or a real part is
+    NaN the value is numpy's reduction of the same eigenvalues, and a NaN,
+    where LAPACK did not converge, raises linalg.spectrum's NumericalError.
+    """
+    weights = np.empty(len(flat))
+    matrix = np.empty((n, n))
+    entries = matrix.reshape(n * n)     # a view: dot writes the matrix
+
+    def abscissa(w: list) -> float:
+        weights[:] = w
+        weights.dot(flat, out=entries)
+        eigs = linalg.finite_spectrum(matrix)
+        reals = eigs.real.tolist()
+        value = max(reals)
+        if value == 0.0 or any(map(math.isnan, reals)):
+            value = float(eigs.real.max())
+            if math.isnan(value):
+                return float(linalg.spectrum(matrix).real.max())
+        return value
+    return abscissa
 
 
 def _abscissa_bound(flat: np.ndarray, n: int):
@@ -265,6 +287,54 @@ def _sum(values: list) -> float:
     return total
 
 
+def _stopped(sim: list, fsim: list) -> bool:
+    """scipy's stopping rule on the sorted simplex: every value within
+    fatol of the best, then every vertex within xatol of the best in each
+    coordinate.  False on a NaN spread (inf - inf), as scipy's max
+    comparison is."""
+    f0 = fsim[0]
+    for fv in fsim[1:]:
+        if not abs(f0 - fv) <= _FATOL:
+            return False
+    best = sim[0]
+    for row in sim[1:]:
+        for v, b in zip(row, best):
+            if not abs(v - b) <= _XATOL:
+                return False
+    return True
+
+
+def _argsorted(sim: list, fsim: list, keys: list):
+    """sim, fsim and keys in np.argsort order of fsim."""
+    # the ndarray method is np.argsort without its wrapper
+    order = np.array(fsim).argsort().tolist()
+    return ([sim[k] for k in order], [fsim[k] for k in order],
+            [keys[k] for k in order])
+
+
+def _replace_worst(sim: list, fsim: list, keys: list, x: list, fx: float,
+                   key: bytes):
+    """A sorted state with its last, worst vertex replaced by x, of value
+    fx and repeat key key: sim, fsim and keys as _argsorted orders
+    sim[:-1] + [x], fsim[:-1] + [fx] and keys[:-1] + [key].
+
+    Values that are pairwise distinct have one sorted order, so where fx
+    and the kept values are, x goes in place by bisect, in the lists
+    given.  Ties are judged by ==, so 0.0 and -0.0 tie, as do two infs; a
+    state with a tie goes to np.argsort, which need not keep ties in
+    order.
+    """
+    del sim[-1], fsim[-1], keys[-1]
+    # a set merges values that are ==: with no tie it keeps all of them
+    if len({fx, *fsim}) > len(fsim):
+        k = bisect.bisect(fsim, fx)
+        sim.insert(k, x)
+        fsim.insert(k, fx)
+        keys.insert(k, key)
+        return sim, fsim, keys
+    return _argsorted(sim + [x], fsim + [fx], keys + [key])
+
+
 def _nelder_mead(f, x0: np.ndarray):
     """Minimise f, a function of a list of floats that never returns NaN,
     from x0.
@@ -278,10 +348,15 @@ def _nelder_mead(f, x0: np.ndarray):
 
     The simplex is kept in Python floats: scipy's numpy expressions act
     elementwise, so each gives the same double in Python; the centroid's
-    np.add.reduce over axis 0 adds the rows in order from 0.  np.argsort
-    stays in numpy (it need not keep ties in order).  The repeat key is
-    the bytes of the simplex and its values, packed by struct as numpy
-    would lay them out (a float comparison equates 0.0 and -0.0).
+    np.add.reduce over axis 0 adds each column's rows in order from 0.0.
+    The initial simplex and every shrink go to np.argsort; a step that
+    replaces the worst vertex goes to _replace_worst, which puts the new
+    vertex in place by bisect unless a value ties, so np.argsort sees only
+    the states with a tie.  The repeat key is a tuple of one blob per
+    vertex, its point and value packed by struct as numpy would lay them
+    out, so two keys are equal exactly when the states are equal bit for
+    bit (a float comparison equates 0.0 and -0.0); a step packs only its
+    new vertex.
 
     Where the stopping rule cannot fire, the sorted simplex and its values
     often come to repeat bit for bit: at a coalescing eigenvalue the
@@ -295,15 +370,7 @@ def _nelder_mead(f, x0: np.ndarray):
     "maxiter" or "cycle".
     """
     N = len(x0)
-    pack = struct.Struct(f"{(N + 1) ** 2}d").pack
-
-    def sorted_state(sim, fsim):
-        """sim and fsim in np.argsort order of fsim, and their bytes."""
-        # the ndarray method is np.argsort without its wrapper
-        order = np.array(fsim).argsort().tolist()
-        sim, fsim = [sim[k] for k in order], [fsim[k] for k in order]
-        state = pack(*[v for row in sim for v in row], *fsim)
-        return sim, fsim, state
+    pack = struct.Struct(f"{N + 1}d").pack
 
     x0 = [float(v) for v in x0]
     sim = [x0]
@@ -311,22 +378,23 @@ def _nelder_mead(f, x0: np.ndarray):
         y = list(x0)
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
         sim.append(y)
-    sim, fsim, state = sorted_state(sim, [f(v) for v in sim])
+    fsim = [f(v) for v in sim]
+    sim, fsim, keys = _argsorted(sim, fsim,
+                                 [pack(*v, fv) for v, fv in zip(sim, fsim)])
 
-    seen = {state}
+    seen = {tuple(keys)}
     iterations, status = 1, "maxiter"
     while iterations < _MAXITER:
-        best, worst = sim[0], sim[-1]
-        # all(<=) is max <= tol, and false on a NaN as the max comparison is
-        if (all(abs(v - b) <= _XATOL
-                for row in sim[1:] for v, b in zip(row, best))
-                and all(abs(fsim[0] - fv) <= _FATOL for fv in fsim[1:])):
+        if _stopped(sim, fsim):
             status = "converged"
             break
-        xbar = [0.0] * N
-        for row in sim[:-1]:
-            xbar = [c + v for c, v in zip(xbar, row)]
-        xbar = [c / N for c in xbar]
+        best, worst = sim[0], sim[-1]
+        xbar = []
+        for column in zip(*sim[:-1]):
+            c = 0.0
+            for v in column:
+                c += v
+            xbar.append(c / N)
         # reflection, expansion and contractions: rho = 1, chi = 2, psi = 1/2
         xr = [2.0 * c - w for c, w in zip(xbar, worst)]
         fxr = f(xr)
@@ -349,10 +417,14 @@ def _nelder_mead(f, x0: np.ndarray):
             sim = [best] + [[b + 0.5 * (v - b) for v, b in zip(row, best)]
                             for row in sim[1:]]
             fsim = fsim[:1] + [f(v) for v in sim[1:]]
+            keys = keys[:1] + [pack(*v, fv)
+                               for v, fv in zip(sim[1:], fsim[1:])]
+            sim, fsim, keys = _argsorted(sim, fsim, keys)
         else:
-            sim, fsim = sim[:-1] + [x], fsim[:-1] + [fx]
+            sim, fsim, keys = _replace_worst(sim, fsim, keys,
+                                             x, fx, pack(*x, fx))
         iterations += 1
-        sim, fsim, state = sorted_state(sim, fsim)
+        state = tuple(keys)
         if state in seen:
             status = "cycle"
             break
@@ -395,7 +467,12 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
     is its value scaled back, or inf where that overflows.  Inside the
     range the family is searched as given, since LAPACK's abscissa is not
     bitwise equivariant under the scaling.  At every scale the scan's
-    blocks go to _abscissae and each refinement point to _abscissa.
+    blocks go to _abscissae and each refinement point to the evaluator
+    _point_abscissa makes, which has _abscissae's bits at one LAPACK call
+    per point.  The refinement's time is mostly Python around that call,
+    so the evaluator and _nelder_mead keep their per-point and
+    per-iteration work in plain Python floats, and go to numpy only for
+    the matrix, its eigenvalues and the orderings that have ties.
     """
     m = len(matrices)
     if m == 0:
@@ -420,17 +497,19 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
 
     grid = _simplex_grid(m, steps)
     evaluations = len(grid)
+    abscissa_at = _point_abscissa(flat, n)
 
     def objective(z: list) -> float:
-        """The abscissa at |z| / sum|z| (sum|z| is np.sum's); +inf, and not
-        counted, where sum|z| is 0 or overflows."""
+        """The abscissa at |z| / sum|z| (sum|z| is np.sum's, and each
+        quotient numpy's); +inf, and not counted, where sum|z| is 0 or
+        overflows."""
         nonlocal evaluations
         az = [abs(v) for v in z]
         s = _sum(az)
         if not 0.0 < s < math.inf:
             return math.inf
         evaluations += 1
-        return _abscissa(np.array(az) / s, flat, n)
+        return abscissa_at([a / s for a in az])
 
     refinement = None
     # the scan and the refinement, under the one errstate _abscissae needs

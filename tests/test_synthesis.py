@@ -1,10 +1,11 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from swstab import presets, synthesis
@@ -169,6 +170,9 @@ class TestLeanAbscissae:
         flat = np.random.default_rng(0).normal(size=(2, 9))
         with pytest.raises(NumericalError, match="did not converge"):
             synthesis._abscissae(np.array([[0.5, 0.5], [0.2, 0.8]]), flat, 3)
+        # the last eigenvalue is NaN, which Python's max passes over
+        with pytest.raises(NumericalError, match="did not converge"):
+            synthesis._point_abscissa(flat, 3)([0.5, 0.5])
         with pytest.raises(NumericalError, match="did not converge"):
             find_stable_combination([presets.A1, presets.A2], resolution=0.1)
 
@@ -268,6 +272,27 @@ def stacks(draw):
             A[:2, :2] += np.array([[a, 10.0 * b], [-10.0 * b, a]])[:n, :n]
     scale = 10.0 ** draw(SCALES)
     return (mats * scale).reshape(m, n * n), n
+
+
+def zero_tie_families():
+    """(flat, n) for families whose abscissa at equal weights is a signed
+    zero: a diagonal family with a zero eigenvalue; two copies of a matrix
+    at scale 1e-300 where LAPACK returns -0.0; and that matrix bordered by
+    a zero row and column, where the real parts end in -0.0, 0.0, a tie
+    that Python's max and numpy's break apart."""
+    B = 1e-300 * np.array([[-2.0, -1.0, 1.0], [1.0, -1.0, 1.0],
+                           [-1.0, 1.0, -1.0]])
+    bordered = np.zeros((4, 4))
+    bordered[:3, :3] = B
+    diagonal = np.stack([np.diag([0.0, -1.0, -2.0]),
+                         np.diag([0.0, -2.0, -1.0])])
+    return {"0.0 diagonal": (diagonal.reshape(2, 9), 3),
+            "-0.0": (np.stack([B, B]).reshape(2, 9), 3),
+            "-0.0 before 0.0": (np.stack([bordered, bordered]).reshape(2, 16),
+                                4)}
+
+
+ZERO_TIE_FAMILIES = zero_tie_families()
 
 
 class TestPrunedScan:
@@ -372,12 +397,12 @@ class TestPrunedScan:
     @pytest.mark.parametrize("scale, as_given", [
         (1e-125, False), (1e-118, True), (1.0, True), (1e118, True),
         (1e125, False), (1e300, False)])
-    def test_bound_off_outside_its_range(self, monkeypatch, scale,
-                                         as_given):
-        # the bound is kept off every family as given whose largest entry
-        # lies outside _SCALE_RANGE (beyond it a square could overflow,
-        # below it a product could underflow): it sees the family as the
-        # search scales it into [0.5, 1), once, by a power of two
+    def test_bound_sees_family_in_range(self, monkeypatch, scale,
+                                        as_given):
+        # the bound sees every family with its largest entry in
+        # _SCALE_RANGE (beyond it a square could overflow, below it a
+        # product could underflow): as given where it lies there, else as
+        # the search scales it into [0.5, 1), once, by a power of two
         flat = np.random.default_rng(5).normal(size=(3, 9)) * scale
         bound, seen = synthesis._abscissa_bound, []
 
@@ -394,10 +419,15 @@ class TestPrunedScan:
 
     @settings(max_examples=150, deadline=None)
     @given(stacks(), st.integers(0, 2**32 - 1))
+    @example(stack=ZERO_TIE_FAMILIES["0.0 diagonal"], seed=0)
+    @example(stack=ZERO_TIE_FAMILIES["-0.0"], seed=0)
+    @example(stack=ZERO_TIE_FAMILIES["-0.0 before 0.0"], seed=0)
     def test_one_point_equals_block(self, stack, seed):
-        # the refinement's one-point objective has _abscissae's bits
+        # the refinement's one-point evaluator, on the objective's weights,
+        # has _abscissae's bits, sign of zero included
         flat, n = stack
         m = len(flat)
+        abscissa = synthesis._point_abscissa(flat, n)
         rng = np.random.default_rng(seed)
         z = rng.normal(size=(50, m)) * 10.0 ** rng.uniform(-3, 3, size=(50, 1))
         z[rng.random(size=(50, m)) < 0.2] = 0.0
@@ -407,9 +437,46 @@ class TestPrunedScan:
                 s = synthesis._sum(az)
                 if s <= 0.0:
                     continue
-                w = np.array(az) / s
-                assert (bits(synthesis._abscissa(w, flat, n))
-                        == synthesis._abscissae(w[None], flat, n)[0].tobytes())
+                w = [a / s for a in az]
+                assert np.array(w).tobytes() == (np.array(az) / s).tobytes()
+                assert (bits(abscissa(w)) == synthesis._abscissae(
+                    np.array(w)[None], flat, n)[0].tobytes())
+
+    @pytest.mark.parametrize("family", ZERO_TIE_FAMILIES)
+    def test_zero_tie_families(self, family):
+        # the examples above: at equal weights the abscissa is a signed
+        # zero, and in the last Python's max would keep -0.0 where numpy
+        # keeps 0.0
+        flat, n = ZERO_TIE_FAMILIES[family]
+        w = np.full((1, len(flat)), 1.0 / len(flat))
+        mats = synthesis._combinations(w, flat, n)
+        reals = np.linalg.eigvals(mats)[0].real.tolist()
+        value = synthesis._abscissae(w, flat, n)[0]
+        assert bits(value) == bits(-0.0 if family == "-0.0" else 0.0)
+        assert bits(max(reals)) == bits(
+            -0.0 if family != "0.0 diagonal" else 0.0)
+
+    VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf,
+                              2.5]) | st.floats(allow_nan=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(VALUES, min_size=2, max_size=9), VALUES)
+    def test_insertion_equals_argsort(self, values, new):
+        # replacing the worst vertex gives np.argsort's order and repeat
+        # key, by bisect where no value ties and by np.argsort where one
+        # does; vertex i is the point [i]
+        pack = struct.Struct("2d").pack
+        sim, fsim, keys = synthesis._argsorted(
+            [[float(i)] for i in range(len(values))], values,
+            [pack(i, v) for i, v in enumerate(values)])
+        x, key = [-1.0], pack(-1.0, new)
+        want = synthesis._argsorted(sim[:-1] + [x], fsim[:-1] + [new],
+                                    keys[:-1] + [key])
+        got = synthesis._replace_worst(list(sim), list(fsim), list(keys),
+                                       x, new, key)
+        assert got[0] == want[0]
+        assert list(map(bits, got[1])) == list(map(bits, want[1]))
+        assert tuple(got[2]) == tuple(want[2])
 
 
 def one_row_objective(flat, n, rows, points):
@@ -652,11 +719,12 @@ class TestFastForward:
 def lean_unpruned(matrices, resolution):
     """find_stable_combination's report computed with the lean evaluators
     and no pruning, on the family as given: every grid row to _abscissae,
-    and each refinement point to _abscissa."""
+    and each refinement point to _point_abscissa's evaluator."""
     m, n = len(matrices), len(matrices[0])
     flat = np.stack(matrices).reshape(m, n * n)
     grid = synthesis._simplex_grid(m, synthesis._grid_steps(m, resolution))
     evaluations = len(grid)
+    abscissa = synthesis._point_abscissa(flat, n)
 
     def objective(z):
         nonlocal evaluations
@@ -665,7 +733,7 @@ def lean_unpruned(matrices, resolution):
         if not 0.0 < s < np.inf:
             return np.inf
         evaluations += 1
-        return synthesis._abscissa(az / s, flat, n)
+        return abscissa((az / s).tolist())
     with np.errstate(invalid="ignore"):
         best, val = full_scan(grid, flat, n)
         alpha = grid[best]
