@@ -153,10 +153,10 @@ def _point_abscissa(flat: np.ndarray, n: int):
     dot(..., out=...), np.dot without its wrapper, whose 1-d product
     rounds as _combinations' per-row product does; it gives LAPACK the one
     matrix (one linalg.finite_spectrum call per point) and takes Python's
-    max over the real parts.  That max keeps the first of equal
-    values and numpy's the last, which differ only between 0.0 and -0.0,
-    and it can pass over a NaN; so where the max is zero or a real part is
-    NaN the value is numpy's reduction of the same eigenvalues, and a NaN,
+    max over the real parts.  That max keeps the first of equal values
+    and numpy's the last, which differ only between 0.0 and -0.0, and it
+    can pass over a NaN; so where the max is zero or a real part is NaN
+    the value is numpy's reduction of the same eigenvalues, and a NaN,
     where LAPACK did not converge, raises linalg.spectrum's NumericalError.
     """
     weights = np.empty(len(flat))
