@@ -3,27 +3,27 @@
 
 For each case, a workload and seed, runs `perfbench/run.py --trace 0`
 PAIRS times in each tree, alternating which tree runs first, then one
-`--trace 1` run in each.  The base revision is exported with `git
-archive` into a temporary directory, so the base side runs its committed
-files and the change side the working tree as it is, with the same
-interpreter and settings.
+`--trace 1` run in each, each for the run_seconds of BENCHMARK.json.  The
+base revision is exported with `git archive` into a temporary directory,
+so the base side runs its committed files and the change side the
+working tree as it is, with the same interpreter and settings.
 
 The JSON file, rewritten as each case ends, holds, per case and per
-end-to-end metric of BENCHMARK.json: each side's values in run order, median and
-quartiles (statistics.quantiles, inclusive method); the pairs each side
-won (ties count for neither); the change's relative difference from the
-base median; and a verdict.  The verdict is "gain" where the change won at
-least nine tenths of the pairs and its median is better than the base's
-by more than the base's interquartile range; "unresolved" where the
-base's interquartile range exceeds the metric's bound (relative to its
-median) and not every change run beat every base run; else "within bound"
-or "worse than bound", by the metric's bound on the relative difference
-of the medians.  It also holds each side's failed and attempted
-operations and both traced runs' counter digests and per-layer metrics.
+end-to-end metric of BENCHMARK.json: each side's values in run order,
+median and quartiles (statistics.quantiles, inclusive method); the pairs
+each side won (ties count for neither); the change's relative difference
+from the base median; and a verdict.  The verdict is "gain" where the
+change won at least nine tenths of the pairs and its median is better
+than the base's by more than the base's interquartile range;
+"unresolved" where the base's interquartile range exceeds the metric's
+bound (relative to its median) and not every change run beat every base
+run; else "within bound" or "worse than bound", by the metric's bound on
+the relative difference of the medians.  It also holds each side's
+failed and attempted operations and both traced runs' counter digests
+and per-layer metrics.
 
 Usage: python scripts/bench_pairs.py --base REV --case design:1
-           [--case normmin-dense:1 ...] [--pairs 10] [--seconds 55]
-           --out BENCH.json
+           [--case normmin-dense:1 ...] [--pairs 10] --out BENCH.json
 """
 
 from __future__ import annotations
@@ -136,22 +136,29 @@ def export(rev: str, into: Path) -> str:
     return sha
 
 
+def case(text: str) -> tuple[str, int]:
+    """A --case value, WORKLOAD:SEED, as (workload, seed)."""
+    workload, _, seed = text.rpartition(":")
+    if not workload or not seed.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"expected WORKLOAD:SEED, got {text!r}")
+    return workload, int(seed)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True,
                     help="git revision of the base side")
-    ap.add_argument("--case", action="append", required=True,
-                    type=lambda text: (text.rpartition(":")[0],
-                                       int(text.rpartition(":")[2])),
+    ap.add_argument("--case", action="append", required=True, type=case,
                     help="WORKLOAD:SEED, once per case")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=55.0)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2: quartiles need two runs")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     change = subprocess.run(["git", "describe", "--always", "--dirty"],
                             cwd=ROOT, capture_output=True, text=True,
                             check=True).stdout.strip()
@@ -162,7 +169,7 @@ def main(argv=None) -> int:
                      "commit": export(args.base, base_tree)},
             "change": {"working_tree": change},
             "command": "python3 perfbench/run.py --workload W --seed S "
-                       f"--seconds {args.seconds:g} --trace 0|1",
+                       f"--seconds {seconds:g} --trace 0|1",
             "pairs": args.pairs,
             "order": "alternated: pair k runs the base first for even k",
             "results": [],
@@ -172,10 +179,10 @@ def main(argv=None) -> int:
             pairs = []
             for k in range(args.pairs):
                 order = ("base", "change")[::1 if k % 2 == 0 else -1]
-                got = {side: run(trees[side], workload, seed, args.seconds, 0)
+                got = {side: run(trees[side], workload, seed, seconds, 0)
                        for side in order}
                 pairs.append((got["base"], got["change"]))
-            traced = {side: run(trees[side], workload, seed, args.seconds, 1)
+            traced = {side: run(trees[side], workload, seed, seconds, 1)
                       for side in trees}
             record["results"].append({"workload": workload, "seed": seed,
                                       **summarize(pairs, traced, spec)})
