@@ -2,8 +2,9 @@
 """Paired benchmark runs: a base revision against the working tree.
 
 For each case, a workload and seed, runs `perfbench/run.py --trace 0`
-PAIRS times in each tree, alternating which tree runs first, then one
-`--trace 1` run in each, each for the run_seconds of BENCHMARK.json.  The
+PAIRS times in each tree, alternating which tree runs first, then two
+`--trace 1` runs in each, base then change and change then base, each
+for the run_seconds of BENCHMARK.json.  The
 base revision is exported with `git archive` into a temporary directory,
 so the base side runs its committed files and the change side the
 working tree as it is, with the same interpreter and settings.
@@ -19,8 +20,9 @@ than the base's by more than the base's interquartile range;
 bound (relative to its median) and not every change run beat every base
 run; else "within bound" or "worse than bound", by the metric's bound on
 the relative difference of the medians.  It also holds each side's
-failed and attempted operations and both traced runs' counter digests
-and per-layer metrics.
+failed and attempted operations and, per side, its two traced runs'
+counter digests and the mean of their per-layer metrics, so that machine
+load that drifts over the case weighs on both sides alike.
 
 Usage: python scripts/bench_pairs.py --base REV --case design:1
            [--case normmin-dense:1 ...] [--pairs 10] --out BENCH.json
@@ -87,8 +89,8 @@ def compare(base: list, change: list, better: str, bound: float) -> dict:
 
 def summarize(pairs: list, traced: dict, spec: dict) -> dict:
     """The record of one workload and seed: pairs is a list of (base
-    report, change report), traced maps "base" and "change" to a traced
-    report, spec is BENCHMARK.json."""
+    report, change report), traced maps "base" and "change" to a list of
+    traced reports, spec is BENCHMARK.json."""
     def values(k, name):
         return [p[k]["metrics"][name]["value"] for p in pairs]
     metrics = {m["name"]: compare(values(0, m["name"]), values(1, m["name"]),
@@ -98,15 +100,18 @@ def summarize(pairs: list, traced: dict, spec: dict) -> dict:
                          "failed": sum(p[k]["failed"] for p in pairs),
                          "runs_correct": all(p[k]["correct"] for p in pairs)}
                   for k, side in enumerate(("base", "change"))}
-    trace = {side: {"counter_digest": report.get("counter_digest"),
-                    "correct": report["correct"],
-                    "attempted": report["attempted"],
-                    "failed": report["failed"],
-                    "metrics": {name: v["value"]
-                                for name, v in report["metrics"].items()}}
-             for side, report in traced.items()}
-    trace["digests_equal"] = (trace["base"]["counter_digest"]
-                              == trace["change"]["counter_digest"])
+    trace = {side: {"counter_digests": [r.get("counter_digest")
+                                        for r in reports],
+                    "correct": all(r["correct"] for r in reports),
+                    "attempted": sum(r["attempted"] for r in reports),
+                    "failed": sum(r["failed"] for r in reports),
+                    "metrics": {name: statistics.fmean(
+                        r["metrics"][name]["value"] for r in reports)
+                        for name in reports[0]["metrics"]}}
+             for side, reports in traced.items()}
+    digests = {d for side in ("base", "change")
+               for d in trace[side]["counter_digests"]}
+    trace["digests_equal"] = len(digests) == 1
     return {"pairs": len(pairs), "metrics": metrics,
             "operations": operations, "trace": trace}
 
@@ -171,7 +176,8 @@ def main(argv=None) -> int:
             "command": "python3 perfbench/run.py --workload W --seed S "
                        f"--seconds {seconds:g} --trace 0|1",
             "pairs": args.pairs,
-            "order": "alternated: pair k runs the base first for even k",
+            "order": "alternated: pair k runs the base first for even k; "
+                     "traced runs base, change, change, base",
             "results": [],
         }
         trees = {"base": base_tree, "change": ROOT}
@@ -182,8 +188,10 @@ def main(argv=None) -> int:
                 got = {side: run(trees[side], workload, seed, seconds, 0)
                        for side in order}
                 pairs.append((got["base"], got["change"]))
-            traced = {side: run(trees[side], workload, seed, seconds, 1)
-                      for side in trees}
+            traced = {"base": [], "change": []}
+            for side in ("base", "change", "change", "base"):
+                traced[side].append(run(trees[side], workload, seed,
+                                        seconds, 1))
             record["results"].append({"workload": workload, "seed": seed,
                                       **summarize(pairs, traced, spec)})
             args.out.write_text(json.dumps(record, indent=1) + "\n")

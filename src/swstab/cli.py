@@ -266,7 +266,8 @@ _OPTIONS = {
     "--eta": dict(type=float, help="time-scale applied to the signal"),
     "--out": dict(dest="output_dir", metavar="OUT", help="output directory"),
     "--tol": dict(action="append", dest="tolerances", metavar="NAME=VALUE",
-                  help="tolerance override (repeatable)"),
+                  help="tolerance override (repeatable); refine_tol is "
+                       "relative to eta, in [2^-50, 1)"),
     "--t-end": dict(type=float),
     "--dt": dict(type=float, dest="sample_dt", metavar="DT",
                  help="sample step (policy step for normmin)"),

@@ -115,11 +115,6 @@ def spectral_radius(M) -> float:
     return float(np.max(np.abs(spectrum(M))))
 
 
-def spectral_abscissa(M) -> float:
-    """max Re(lambda) over the eigenvalues of M."""
-    return float(np.max(spectrum(M).real))
-
-
 def operator_norm_2(M) -> float:
     """Induced 2-norm, sqrt of the spectral radius of M^T M.
 

@@ -267,6 +267,16 @@ def system_from_dict(spec: dict) -> SwitchedSystem:
     return sys_
 
 
-def load_system(path) -> SwitchedSystem:
+def read_json(path):
+    """The JSON document in the file at path.  One nested too deeply for
+    the decoder raises ValueError, as any other malformed document does,
+    not RecursionError."""
     with open(path) as fh:
-        return system_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def load_system(path) -> SwitchedSystem:
+    return system_from_dict(read_json(path))

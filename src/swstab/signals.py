@@ -3,7 +3,6 @@ activation fractions, and the sampled norm-minimising policy descriptor."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -11,7 +10,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .model import (Weights, json_field, json_float, json_int,
-                    json_objects)
+                    json_objects, read_json)
 
 
 class Segment(NamedTuple):
@@ -177,5 +176,4 @@ def signal_from_dict(spec: dict) -> PeriodicSignal:
 
 
 def load_signal(path) -> PeriodicSignal:
-    with open(path) as fh:
-        return signal_from_dict(json.load(fh))
+    return signal_from_dict(read_json(path))

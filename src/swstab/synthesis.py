@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .model import SwitchedSystem, Weights, average_system
+from .model import SubSystem, SwitchedSystem, Weights, average_system
 from .signals import from_weights
 from .simulate import BLOCK_ROWS, MAX_STEPS, poincare_maps
 
@@ -56,22 +56,44 @@ class EtaSearchResult:
         }
 
 
-# The simplex search's one scale range.  find_stable_combination scales a
-# family whose largest entry lies outside it by a power of two, so every
-# family it searches has its largest entry here or is 0: no convex
-# combination of it, rounding included, overflows; no square in
-# _abscissa_bound overflows; and every rounding error the bound's margin
-# covers is far above the subnormal range.
+# The one scale range of both searches (see _scaled): every family they
+# search has its largest entry here or is 0, so no convex combination of
+# it, rounding included, overflows; no square in _abscissa_bound
+# overflows; and every rounding error the bound's margin covers is far
+# above the subnormal range.
 _SCALE_RANGE = (2.0 ** -400, 2.0 ** 400)
 # Most simplex-grid entries (points x weights) a scan may hold: 100 MB.
 MAX_GRID_ENTRIES = 12_500_000
 # Simplex-grid spacing when none is given; default_resolution coarsens it.
 DEFAULT_RESOLUTION = 0.01
-# Bisection tolerance on eta and eta grid size of max_stable_eta.
+# Relative bisection tolerance on eta and eta grid size of max_stable_eta.
 DEFAULT_REFINE_TOL = 1e-3
 DEFAULT_GRID_POINTS = 50
+# The least refine_tol, 4 ulp of a normal eta: a wider bracket of normal
+# floats has one strictly inside.  _TINY is the least normal float.
+_MIN_REFINE_TOL, _TINY = 2.0 ** -50, 2.0 ** -1022
 # Nelder-Mead stopping rule: simplex spread in x and in value, iterations.
 _XATOL, _FATOL, _MAXITER = 1e-10, 1e-12, 2000
+
+
+def _scaled(what: str, flat: np.ndarray, *rest: np.ndarray) -> tuple:
+    """The one scale rule of both searches: (shift, then flat and each
+    array of rest times 2^shift).  shift is 0, and the arrays are as given,
+    where flat's largest entry is 0 or lies in _SCALE_RANGE (LAPACK is not
+    bitwise equivariant under the scaling); else it brings that entry into
+    [0.5, 1).  Where that rounds an entry (to a subnormal, or to inf) the
+    search would judge another family: linalg.NumericalError, naming what.
+    """
+    top = float(np.abs(flat).max())
+    if top == 0.0 or _SCALE_RANGE[0] <= top <= _SCALE_RANGE[1]:
+        return (0, flat, *rest)
+    shift = -math.frexp(top)[1]
+    scaled = [np.ldexp(x, shift) for x in (flat, *rest)]
+    for x, y in zip((flat, *rest), scaled):
+        if not np.array_equal(np.ldexp(y, -shift), x):
+            raise linalg.NumericalError(f"scaling {what} by 2^{shift} rounds "
+                                        "an entry: they span too wide a range")
+    return (shift, *scaled)
 
 
 def _grid_entries(m: int, steps: int) -> int:
@@ -131,11 +153,9 @@ def _abscissae(alphas: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
     """Spectral abscissa of sum_i alpha_i A_i for every row of a (k, m) block.
 
     No finiteness check per call: it is for finite weights in [0, 1] and a
-    flat whose largest entry lies in _SCALE_RANGE or is 0, whose
-    combinations are finite, as find_stable_combination scales every
-    family; the search runs under np.errstate(invalid="ignore").  A NaN
-    abscissa, where LAPACK did not converge, raises linalg.spectrum's
-    NumericalError.
+    family as _scaled gives it, whose combinations are finite, under
+    np.errstate(invalid="ignore").  A NaN abscissa, where LAPACK did not
+    converge, raises linalg.spectrum's NumericalError.
     """
     mats = _combinations(alphas, flat, n)
     vals = linalg.finite_spectrum(mats).real.max(axis=-1)
@@ -179,9 +199,8 @@ def _point_abscissa(flat: np.ndarray, n: int):
 
 def _abscissa_bound(flat: np.ndarray, n: int):
     """A lower bound on the abscissa _abscissae computes for each row of a
-    (k, m) weight block, as a function of the block, for matrices whose
-    largest entry lies in _SCALE_RANGE or is 0, as find_stable_combination
-    scales every family.
+    (k, m) weight block, as a function of the block, for a family as
+    _scaled gives it.
 
     The bound.  For a real n x n matrix A with eigenvalues lambda_j, let
     mu = tr A / n and T = tr(A^2) - n mu^2.  The real parts have mean mu,
@@ -437,42 +456,21 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
                             ) -> CombinationResult:
     """Minimise the spectral abscissa of sum_i alpha_i A_i over the simplex.
 
-    Coarse grid scan at the given resolution, in stacked eigenvalue calls,
-    then a derivative-free refinement from the best grid point: the
-    in-house Nelder-Mead of _nelder_mead, which reproduces scipy's result
-    bit for bit and evaluates one point at a time, as scipy does, on the
-    abscissa at weights |z| / sum|z|.  The scan (_scan) skips every grid
-    point whose certified lower bound on the abscissa (_abscissa_bound:
-    the trace gives the mean of the eigenvalues' real parts and tr(A^2) a
-    floor on their spread, less a margin for rounding and LAPACK's
-    backward error) exceeds a value already found; such a point is no
-    minimum, so the scan returns the first minimum in grid order, and its
-    value, bit for bit as a scan of every point does.
-    A refinement whose simplex comes back to an earlier state stops there.
-    A refinement point whose sum|z| is 0 or overflows has value +inf;
-    evaluations counts every grid point, skipped or not, and every other
-    refinement point.
-    The abscissa is nonsmooth, so no gradients are used.  The refinement's
-    status ("converged", "maxiter" or "cycle") and iteration count are
-    reported.  A single matrix is a one-point grid with no refinement.  The
-    weights carry period 1.  No resolution means default_resolution(m).  A
-    resolution that is not finite and positive, or whose grid would exceed
+    A grid scan at the given resolution (_scan, pruned by _abscissa_bound,
+    the first minimum in grid order bit for bit), its blocks to
+    _abscissae; then, for m > 1, a refinement from the best grid point by
+    _nelder_mead, scipy's Nelder-Mead bit for bit, of the abscissa at
+    weights |z| / sum|z|, each point to _point_abscissa's evaluator (the
+    abscissa is nonsmooth: no gradients).  A refinement point whose sum|z|
+    is 0 or overflows has value +inf; evaluations counts every grid point,
+    skipped or not, and every other refinement point.  The weights carry
+    period 1.  No resolution means default_resolution(m).  A resolution
+    that is not finite and positive, or whose grid would exceed
     MAX_GRID_ENTRIES weights, raises ValueError before any work.  The
-    family's scale is judged here, once: a family whose largest entry is
-    not 0 and lies outside _SCALE_RANGE is scaled by the power of two that
-    brings that entry into [0.5, 1); where that rounds an entry (one that
-    becomes subnormal) it raises linalg.NumericalError.  The abscissa is
+    family's scale is _scaled's, as in max_stable_eta; the abscissa is
     positively homogeneous, so the weights, found, evaluations and
-    refinement are those of the scaled family, and the abscissa reported
-    is its value scaled back, or inf where that overflows.  Inside the
-    range the family is searched as given, since LAPACK's abscissa is not
-    bitwise equivariant under the scaling.  At every scale the scan's
-    blocks go to _abscissae and each refinement point to the evaluator
-    _point_abscissa makes, which has _abscissae's bits at one LAPACK call
-    per point.  The refinement's time is mostly Python around that call,
-    so the evaluator and _nelder_mead keep their per-point and
-    per-iteration work in plain Python floats, and go to numpy only for
-    the matrix, its eigenvalues and the orderings that have ties.
+    refinement are the scaled family's, and the abscissa is its value
+    scaled back, or inf where that overflows.
     """
     m = len(matrices)
     if m == 0:
@@ -485,15 +483,7 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
     for M in mats:
         if M.shape != (n, n):
             raise linalg.DimensionError("matrices must share a common dimension")
-    flat = np.stack(mats).reshape(m, n * n)
-    # the one scale check: 2^shift keeps signs, and only scaling down rounds
-    top = float(np.abs(flat).max())
-    low, high = _SCALE_RANGE
-    shift = 0 if top == 0.0 or low <= top <= high else -math.frexp(top)[1]
-    flat, given = np.ldexp(flat, shift), flat
-    if shift < 0 and not np.array_equal(np.ldexp(flat, -shift), given):
-        raise linalg.NumericalError(f"scaling the family by 2^{shift} rounds "
-                                    f"an entry: they span too wide a range")
+    shift, flat = _scaled("the family", np.stack(mats).reshape(m, n * n))
 
     grid = _simplex_grid(m, steps)
     evaluations = len(grid)
@@ -527,14 +517,8 @@ def find_stable_combination(matrices: Sequence[np.ndarray],
                 best_alpha, best_val = z / z.sum(), float(fval)
     with np.errstate(over="ignore"):
         abscissa = float(np.ldexp(best_val, -shift))
-
-    return CombinationResult(
-        weights=Weights(best_alpha),
-        abscissa=abscissa,
-        found=bool(best_val < 0.0),
-        evaluations=evaluations,
-        refinement=refinement,
-    )
+    return CombinationResult(Weights(best_alpha), abscissa,
+                             bool(best_val < 0.0), evaluations, refinement)
 
 
 def default_eta_max(sys: SwitchedSystem, w: Weights) -> float:
@@ -551,8 +535,9 @@ def check_eta_search(eta_max: Optional[float], grid_points: int,
     if not 1 <= grid_points <= MAX_STEPS:
         raise ValueError(f"grid_points must be between 1 and MAX_STEPS = "
                          f"{MAX_STEPS}, got {grid_points}")
-    if not (math.isfinite(refine_tol) and refine_tol > 0.0):
-        raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol}")
+    # at 1 or above a bracket (0, hi] is already narrow enough: eta_star 0
+    if not _MIN_REFINE_TOL <= refine_tol < 1.0:
+        raise ValueError(f"refine_tol must lie in [2^-50, 1), got {refine_tol}")
 
 
 def _grid_radii(sys: SwitchedSystem, w: Weights,
@@ -584,47 +569,66 @@ def max_stable_eta(sys: SwitchedSystem, w: Weights,
     Scans rho(Phi(eta)) on a uniform grid up to eta_max; eta_star is located
     by bisection between the last stable and first unstable grid points.
     rho need not be monotone in eta, so stable islands beyond the first
-    instability show up in the grid but never extend eta_star.  An eta
-    whose monodromy overflows is unstable, with rho recorded as inf.  Every
-    rho, and that rule, comes from _grid_radii: the grid's BLOCK_ROWS etas
-    at a time, the bisection's one eta per step.  The bisection runs until
-    its bracket is at most refine_tol wide and it has found a stable eta,
-    so eta_star > 0; it also ends when no float lies strictly between its
-    bounds.
-    Options that check_eta_search refuses raise ValueError before any work.
-    If rho stays >= 1 at every eta tried until a smaller eta would make a
-    dwell time underflow to 0, linalg.NumericalError is raised.
+    instability show up in the grid but never extend eta_star.  Every rho
+    comes from _grid_radii.  The bisection ends once its bracket (lo, hi]
+    is at most refine_tol * hi wide; refine_tol < 1, so then lo > 0.
+    Options that check_eta_search refuses raise ValueError before any work,
+    and so do weights whose abscissa the simplex search would not find
+    below 0 (by _abscissae, on the family it searches).  The search runs on
+    2^shift (A_i, b_i), shift from _scaled on the A_i: Phi there at
+    eta / 2^shift is Phi at eta, bit for bit, so etas in and out are scaled.
+    linalg.NumericalError is raised where the scaling rounds a b_i entry,
+    eta_max overflows in either scale or its grid spacing is subnormal, or
+    rho stays >= 1 until a smaller eta would be subnormal (the relative
+    width needs normal floats) or underflow a dwell time.
     """
     check_eta_search(eta_max, grid_points, refine_tol)
-    if linalg.spectral_abscissa(average_system(sys, w).A) >= 0.0:
-        raise ValueError("the averaged matrix is not stable; "
-                         "run find_stable_combination first")
-    if eta_max is None:
-        eta_max = default_eta_max(sys, w)
+    if w.m != sys.m:
+        raise linalg.DimensionError(
+            f"weights have length {w.m}, system has {sys.m} subsystems")
+    n = sys.n
+    shift, flat, drifts = _scaled(
+        "the eta search's family (A_i, b_i)",
+        np.stack([sub.A.ravel() for sub in sys.subsystems]),
+        np.stack([sub.b for sub in sys.subsystems]))
+    with np.errstate(invalid="ignore"):
+        if not _abscissae(w.alpha[None], flat, n)[0] < 0.0:
+            raise ValueError("the averaged matrix is not stable; "
+                             "run find_stable_combination first")
+    if shift:
+        sys = SwitchedSystem(tuple(SubSystem(A.reshape(n, n), b)
+                                   for A, b in zip(flat, drifts)))
+    with np.errstate(over="ignore"):    # top: eta_max in the search's scale
+        top = (default_eta_max(sys, w) if eta_max is None
+               else float(np.ldexp(eta_max, -shift)))
+        eta_max = float(np.ldexp(top, shift))
+    if not (eta_max < math.inf and _TINY <= top / grid_points < math.inf):
+        raise linalg.NumericalError(
+            f"the eta search cannot use eta_max: it is {top:.6g} at the "
+            f"family's scale 2^{shift}, and overflows in one of the two "
+            "scales or gives a grid spacing below the normal floats")
 
-    etas = np.linspace(eta_max / grid_points, eta_max, grid_points).tolist()
-    grid = tuple(zip(etas, _grid_radii(sys, w, etas)))
-
-    first_unstable = next((k for k, (_, r) in enumerate(grid) if r >= 1.0), None)
+    etas = np.linspace(top / grid_points, top, grid_points).tolist()
+    radii = _grid_radii(sys, w, etas)
+    grid = tuple((math.ldexp(e, shift), r) for e, r in zip(etas, radii))
+    first_unstable = next((k for k, r in enumerate(radii) if r >= 1.0), None)
     if first_unstable is None:
-        return EtaSearchResult(float(eta_max), grid, True)
+        return EtaSearchResult(eta_max, grid, True)
 
-    lo = 0.0 if first_unstable == 0 else grid[first_unstable - 1][0]
-    hi = grid[first_unstable][0]
+    lo = 0.0 if first_unstable == 0 else etas[first_unstable - 1]
+    hi = etas[first_unstable]
     # the weight of the shortest dwell, eta * a_min * period in from_weights
     a_min = min(a for a in w.alpha.tolist() if a > 0.0)
-    while hi - lo > refine_tol or lo == 0.0:
+    while hi - lo > refine_tol * hi:
         mid = 0.5 * (lo + hi)
-        # only while lo == 0: above a stable lo every dwell is positive
-        if not mid * a_min * w.period > 0.0:
+        # fires only while lo == 0: a stable lo is normal, its dwells > 0
+        if not (mid >= _TINY and mid * a_min * w.period > 0.0):
             raise linalg.NumericalError(
                 f"no stable eta found: rho(Phi) did not fall below 1 at any "
-                f"eta tried, down to eta = {hi:.6g}, and a smaller eta "
-                "would make a dwell time underflow to 0")
-        if not lo < mid < hi:       # no float left between: tol too fine
-            break
+                f"eta tried, down to eta = {math.ldexp(hi, shift):.6g}, and a "
+                "smaller one would be subnormal or underflow a dwell time")
         if _grid_radii(sys, w, [mid])[0] < 1.0:
             lo = mid
         else:
             hi = mid
-    return EtaSearchResult(float(lo), grid, first_unstable > 0)
+    return EtaSearchResult(math.ldexp(lo, shift), grid, first_unstable > 0)

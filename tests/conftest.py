@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from swstab import presets
+from swstab.linalg import spectrum
 from swstab.model import SubSystem, SwitchedSystem
 
 
@@ -28,6 +29,11 @@ def random_stable_pair(rng, n=2):
         B = rng.normal(size=(n, n))
         if np.max(np.linalg.eigvals(0.5 * (A + B)).real) < -0.1:
             return A, B
+
+
+def spectral_abscissa(M):
+    """max Re(lambda) over the eigenvalues of M, by LAPACK as given."""
+    return float(np.max(spectrum(M).real))
 
 
 def shear_pair(K):

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from swstab import cli, synthesis
-from swstab.model import (DEFAULT_EQUILIBRIUM_TOL, common_equilibrium,
-                          load_system, system_to_dict)
+from swstab.model import (DEFAULT_EQUILIBRIUM_TOL, SubSystem, SwitchedSystem,
+                          Weights, common_equilibrium, load_system,
+                          system_to_dict)
 from swstab.synthesis import (DEFAULT_GRID_POINTS, DEFAULT_REFINE_TOL,
                               max_stable_eta)
 from swstab.signals import load_signal, example_signal
@@ -67,18 +68,68 @@ def test_overflowing_monodromy_is_numerical_failure(tmp_path, capsys, command):
     assert "numerical failure: " in capsys.readouterr().err
 
 
-def test_overflowing_average_is_numerical_failure(tmp_path, capsys):
-    # the simplex search scales this family by 2^-1024 and finds it
-    # stable; the eta search's average system then overflows
+def test_max_float_family_is_synthesized(tmp_path):
+    # every combination of this family overflows; both searches run on it
+    # scaled by 2^-1024, and eta_search.json holds the etas scaled back
     big = np.finfo(float).max
-    sys_path, _ = write_specs(tmp_path, [
-        (-big * np.eye(2)).tolist(), [[-big, 1.0], [0.0, -big]],
-        [[-big, 0.0], [1.0, -big]]], [1.0])
+    mats = [-big * np.eye(2), [[-big, 1.0], [0.0, -big]],
+            [[-big, 0.0], [1.0, -big]]]
+    sys_path, _ = write_specs(tmp_path, [np.asarray(A).tolist()
+                                         for A in mats], [1.0])
     code = run_cli(["synthesize", "--system", sys_path, "--out", tmp_path])
-    assert code == cli.EXIT_NUMERICAL
-    assert "average system" in capsys.readouterr().err
+    assert code == cli.EXIT_OK
     # its abscissa, at most -max, is written as a number or null
-    assert strict_json(tmp_path / "combination.json")["found"]
+    comb = strict_json(tmp_path / "combination.json")
+    assert comb["found"]
+    search = strict_json(tmp_path / "eta_search.json")
+    scaled = [np.ldexp(A, -1024) for A in mats]
+    want = max_stable_eta(SwitchedSystem(tuple(
+        SubSystem(A, np.zeros(2)) for A in scaled)), Weights(comb["alpha"]))
+    assert search["eta_star"] == math.ldexp(want.eta_star, -1024) > 0.0
+    assert [row["eta"] for row in search["grid"]] == [
+        math.ldexp(eta, -1024) for eta, _ in want.grid]
+
+
+def test_near_zero_family_is_not_invalid(tmp_path):
+    # the simplex search finds abscissa -8.3e-17; the eta search judges the
+    # same weights on the same family by the same evaluator, so it goes on
+    # (the average system's own eigenvalues read +9.0e-17)
+    sys_path = tmp_path / "s.json"
+    sys_path.write_text(json.dumps({"subsystems": [{"A": A} for A in (
+        [[-0.10314011111497126, -0.8404731684222111, 1.448731288921672],
+         [0.5682130997882933, 2.659883284430158, 0.6419163790823205],
+         [0.8449927337191754, 0.8406828762653401, -0.3784607543246062]],
+        [[0.1581223349465634, 1.350388867744626, -0.3965507651729716],
+         [0.18879953129109867, 0.2069273211676557, 0.6092164928327407],
+         [-0.3649087419473726, -0.15236188875684828, 0.4705322102570959]],
+        [[0.33117392007175317, -0.8649727462818201, 0.8957830431894438],
+         [-1.298481208246912, -0.9729647672185812, -1.282491794740462],
+         [0.9669722789332148, -0.36060836889927, -0.74288559693612]])]}))
+    code = run_cli(["synthesize", "--system", sys_path, "--resolution",
+                    "0.05", "--out", tmp_path])
+    assert code == cli.EXIT_OK
+    assert strict_json(tmp_path / "combination.json")["abscissa"] < 0.0
+    assert strict_json(tmp_path / "eta_search.json")["eta_star"] > 0.0
+
+
+@pytest.mark.parametrize("command, flag, spec", [
+    ("synthesize", "--system", '{"subsystems": [{"A": %s}]}'),
+    ("analyze", "--system", '{"subsystems": [{"A": %s}]}'),
+    ("analyze", "--signal", '{"segments": %s}')])
+def test_deeply_nested_json_is_invalid(tmp_path, capsys, example1_files,
+                                       command, flag, spec):
+    # too deep for the decoder: one error line, not a RecursionError
+    paths = dict(zip(("--system", "--signal"), example1_files))
+    paths[flag] = tmp_path / "deep.json"
+    paths[flag].write_text(spec % ("[" * 200_000 + "]" * 200_000))
+    out = tmp_path / "out"
+    args = [command, "--system", paths["--system"], "--out", out]
+    if command == "analyze":
+        args += ["--signal", paths["--signal"]]
+    assert run_cli(args) == cli.EXIT_INVALID
+    assert capsys.readouterr().err == (
+        f"error: {paths[flag]}: JSON nested too deeply\n")
+    assert not list(out.iterdir())
 
 
 def test_rounding_scale_is_numerical_failure(tmp_path, capsys):
@@ -417,7 +468,8 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("option", [
         "--tol=refine_tol=0", "--tol=refine_tol=-1", "--tol=refine_tol=nan",
-        "--tol=refine_tol=inf", "--grid-points=0", "--eta-max=-1",
+        "--tol=refine_tol=inf", "--tol=refine_tol=1",
+        "--tol=refine_tol=1e-300", "--grid-points=0", "--eta-max=-1",
         "--eta-max=nan", "--eta-max=inf", "--grid-points=1000001"])
     def test_bad_eta_search_option_refused_first(self, tmp_path, capsys,
                                                  monkeypatch, example1_files,
@@ -435,12 +487,12 @@ class TestSynthesize:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not list(out.iterdir())
 
-    def test_refine_tol_below_float_spacing_ends(self, tmp_path,
-                                                 example1_files):
+    def test_refine_tol_at_floor_ends(self, tmp_path, example1_files):
+        # 2^-50, the least refine_tol: the relative width is reached
         sys_path, _ = example1_files
         code = run_cli(["synthesize", "--system", sys_path, "--resolution",
                         "0.1", "--grid-points", "5", "--tol",
-                        "refine_tol=1e-300", "--out", tmp_path])
+                        f"refine_tol={2.0 ** -50!r}", "--out", tmp_path])
         assert code == cli.EXIT_OK
         assert json.loads(
             (tmp_path / "eta_search.json").read_text())["eta_star"] > 0.0
@@ -535,7 +587,7 @@ class TestSynthesize:
     def test_no_stable_eta_is_numerical_failure(self, tmp_path, capsys,
                                                 eta_max):
         # rho rounds to 1 on the whole grid; the bisection gives up before
-        # a dwell time underflows, after combination.json is written
+        # eta leaves the normal floats, after combination.json is written
         sys_path = tmp_path / "s.json"
         sys_path.write_text(json.dumps({"n": 2, "subsystems": [
             {"A": [[-1, 0], [0, -2]], "b": [1, 0]},
@@ -546,7 +598,9 @@ class TestSynthesize:
         assert code == cli.EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: no stable eta found")
-        assert "eta = 9.88131e-324" in err
+        # the last normal eta tried, in [2^-1022, 2^-1021)
+        hi = float(err.split("eta = ")[1].split(",")[0])
+        assert 2.0 ** -1022 <= hi < 2.0 ** -1021
         comb = strict_json(out / "combination.json")
         assert comb["alpha"] == pytest.approx([2 / 3, 1 / 3])
         assert not (out / "eta_search.json").exists()

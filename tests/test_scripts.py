@@ -97,8 +97,12 @@ def test_bench_pairs_summary():
               parse(canned_run(c, 60.0, s + 0.01, failed=int(k == 3))))
              for k, (b, c, s) in enumerate(zip(base_tail, change_tail,
                                                base_setup))]
-    traced = {"base": parse(canned_run(40.0, 61.0, 0.5, digest="ab12")),
-              "change": parse(canned_run(35.0, 61.0, 0.5, digest="ab12"))}
+    # two traced runs per side, their per-layer metrics averaged
+    traced = {"base": [parse(canned_run(40.0, 61.0, 0.5, digest="ab12")),
+                       parse(canned_run(44.0, 61.0, 0.7, digest="ab12"))],
+              "change": [parse(canned_run(35.0, 61.0, 0.5, digest="ab12")),
+                         parse(canned_run(36.0, 62.0, 0.6, digest="ab12",
+                                          failed=1))]}
     record = bench["summarize"](pairs, traced, spec)
     tail = record["metrics"]["op_tail_ms"]
     assert (tail["change_wins"], tail["base_wins"]) == (9, 1)
@@ -114,9 +118,18 @@ def test_bench_pairs_summary():
     assert record["operations"] == {
         "base": {"attempted": 1000, "failed": 0, "runs_correct": True},
         "change": {"attempted": 1000, "failed": 1, "runs_correct": False}}
-    assert record["trace"]["base"]["counter_digest"] == "ab12"
-    assert record["trace"]["digests_equal"]
-    assert record["trace"]["change"]["metrics"]["op_tail_ms"] == 35.0
+    trace = record["trace"]
+    assert trace["base"]["counter_digests"] == ["ab12", "ab12"]
+    assert trace["digests_equal"]
+    assert trace["base"]["metrics"]["op_tail_ms"] == 42.0
+    assert trace["change"]["metrics"] == {
+        "op_tail_ms": 35.5, "peak_rss_mb": 61.5, "setup_s": 0.55}
+    assert (trace["change"]["attempted"], trace["change"]["failed"]) == (200, 1)
+    assert not trace["change"]["correct"] and trace["base"]["correct"]
+    # one run of either side with another digest: not equal
+    traced["change"][1] = parse(canned_run(36.0, 62.0, 0.6, digest="cd34"))
+    assert not bench["summarize"](pairs, traced, spec)["trace"][
+        "digests_equal"]
     # a change slower than the bound, with a tight base spread
     worse = bench["compare"]([10.0] * 4, [13.0] * 4, "lower", 0.25)
     assert worse["verdict"] == "worse than bound"

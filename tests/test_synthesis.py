@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import struct
 
 import numpy as np
@@ -10,14 +11,15 @@ from hypothesis import strategies as st
 
 from swstab import presets, synthesis
 from swstab import linalg
-from swstab.linalg import NumericalError, spectral_abscissa, spectral_radius
+from swstab.linalg import NumericalError, spectral_radius
 from swstab.model import SubSystem, SwitchedSystem, Weights
 from swstab.signals import activation_fractions, from_weights
 from swstab.simulate import MAX_STEPS
 from swstab.stability import is_ici_stable, monodromy
 from swstab.synthesis import (MAX_GRID_ENTRIES, default_eta_max,
                               find_stable_combination, max_stable_eta)
-from conftest import expm_radius, random_stable_pair, shear_pair
+from conftest import (expm_radius, random_stable_pair, shear_pair,
+                      spectral_abscissa)
 
 
 class TestFindStableCombination:
@@ -778,10 +780,11 @@ def unit_families(draw):
 
 
 class TestScaleRange:
-    """find_stable_combination judges the family's scale once: a family
-    whose largest entry lies outside [2^-400, 2^400] (and is not 0) is
-    searched scaled into [0.5, 1) by a power of two, with the lean
-    evaluators and the bound, as every other family is."""
+    """find_stable_combination judges the family's scale by _scaled, the
+    rule max_stable_eta shares: a family whose largest entry lies outside
+    [2^-400, 2^400] (and is not 0) is searched scaled into [0.5, 1) by a
+    power of two, with the lean evaluators and the bound, as every other
+    family is."""
 
     # largest |entry| of the family; 0 is the zero family.  up: the power
     # of two is at least 1 (the family is left or scaled up), so no bit of
@@ -946,12 +949,13 @@ class TestMaxStableEta:
                                    self.HALF4.alpha, atol=1e-12)
 
     def test_grid_refinement_monotone(self, example1):
+        # both brackets hold the one crossing, each ending within tol * hi
         tol = 1e-3
         coarse = max_stable_eta(example1, self.HALF4, eta_max=5.0,
                                 grid_points=40, refine_tol=tol)
         fine = max_stable_eta(example1, self.HALF4, eta_max=5.0,
                               grid_points=80, refine_tol=tol)
-        assert fine.eta_star >= coarse.eta_star - tol
+        assert fine.eta_star >= coarse.eta_star * (1.0 - tol)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 4), m=st.integers(1, 3), k=st.integers(1, 12),
@@ -994,7 +998,8 @@ class TestMaxStableEta:
     @pytest.mark.parametrize("option", [
         {"eta_max": -1.0}, {"eta_max": np.nan}, {"eta_max": np.inf},
         {"grid_points": 0}, {"refine_tol": 0.0}, {"refine_tol": -1.0},
-        {"refine_tol": np.nan}, {"refine_tol": np.inf}])
+        {"refine_tol": np.nan}, {"refine_tol": np.inf}, {"refine_tol": 1.0},
+        {"refine_tol": 1e-300}, {"refine_tol": 2.0 ** -51}])
     def test_bad_option_refused(self, example1, option):
         with pytest.raises(ValueError, match=next(iter(option))):
             max_stable_eta(example1, self.HALF4, **option)
@@ -1032,20 +1037,136 @@ class TestMaxStableEta:
     def test_no_stable_eta_before_underflow_is_numerical_error(self,
                                                                eta_max):
         # rho rounds to 1 at every eta of the grid, so the bisection halves
-        # toward 0; it stops before a dwell time underflows to 0
+        # toward 0; it stops at the last normal eta, in [2^-1022, 2^-1021)
         sys_ = SwitchedSystem((
             SubSystem(np.diag([-1.0, -2.0]), np.array([1.0, 0.0])),
             SubSystem(np.array([[-3.0, 1.0], [0.0, -1.0]]), np.zeros(2))))
         w = Weights(np.array([2.0, 1.0]) / 3.0, 1.0)
         with pytest.raises(NumericalError, match=r"rho\(Phi\) did not fall "
-                           r"below 1 .* eta = 9\.88131e-324"):
+                           r"below 1 .* eta = ([0-9.e-]+),") as info:
             max_stable_eta(sys_, w, eta_max=eta_max)
+        hi = float(re.search(r"eta = ([0-9.e-]+),", str(info.value))[1])
+        assert 2.0 ** -1022 <= hi < 2.0 ** -1021
 
-    def test_tolerance_below_float_spacing_ends(self, example1):
-        # the bisection stops once no float lies between its bounds
+    def test_tolerance_at_floor_ends(self, example1):
+        # at the least refine_tol the width is reached with floats to spare
         fine = max_stable_eta(example1, self.HALF4, eta_max=5.0,
-                              grid_points=10, refine_tol=1e-300)
+                              grid_points=10, refine_tol=2.0 ** -50)
         coarse = max_stable_eta(example1, self.HALF4, eta_max=5.0,
                                 grid_points=10, refine_tol=1e-3)
-        assert abs(fine.eta_star - coarse.eta_star) <= 1e-3
+        assert 0.0 < coarse.eta_star <= fine.eta_star
+        assert fine.eta_star - coarse.eta_star <= 1e-3 * fine.eta_star
         assert fine.grid == coarse.grid
+
+
+@st.composite
+def stable_systems(draw):
+    """(system, weights): a random affine family, n and m 2 or 3, shifted
+    by a multiple of I so that its average at random weights has abscissa
+    -0.1 or so.  On about half of them rho(Phi) reaches 1 below eta = 100
+    (with n or m 1 it never does)."""
+    n, m = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha = rng.dirichlet(np.ones(m))
+    mats = rng.normal(size=(m, n, n))
+    shift = spectral_abscissa(np.tensordot(alpha, mats, axes=1)) + 0.1
+    subs = tuple(SubSystem(A - shift * np.eye(n), rng.normal(size=n))
+                 for A in mats)
+    return SwitchedSystem(subs), Weights(alpha)
+
+
+def scaled_system(sys_, k):
+    """2^k (A_i, b_i) for every subsystem."""
+    return SwitchedSystem(tuple(SubSystem(np.ldexp(sub.A, k),
+                                          np.ldexp(sub.b, k))
+                                for sub in sys_.subsystems))
+
+
+class TestEtaScale:
+    """max_stable_eta judges scale and stability as the simplex search
+    does, and its relative stopping rule commutes with a power of two."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stable_systems(), st.integers(-60, 60),
+           st.floats(1.0, 100.0), st.integers(1, 20))
+    def test_power_of_two_equivariant(self, system, k, eta_max, points):
+        # Phi of 2^k (A, b) at eta / 2^k is Phi at eta, bit for bit, and
+        # hi - lo <= tol * hi holds for both brackets or neither
+        sys_, w = system
+        want = max_stable_eta(sys_, w, eta_max=eta_max, grid_points=points)
+        got = max_stable_eta(scaled_system(sys_, k), w,
+                             eta_max=math.ldexp(eta_max, -k),
+                             grid_points=points)
+        assert bits(got.eta_star) == bits(math.ldexp(want.eta_star, -k))
+        assert [(bits(e), r) for e, r in got.grid] == [
+            (bits(math.ldexp(e, -k)), r) for e, r in want.grid]
+        assert got.stable_prefix == want.stable_prefix
+        # the default eta_max, 10 / ||A_avg||_2, need not scale bit for bit
+        want = max_stable_eta(sys_, w).eta_star
+        got = math.ldexp(max_stable_eta(scaled_system(sys_, k), w).eta_star,
+                         k)
+        assert abs(got - want) <= synthesis.DEFAULT_REFINE_TOL * max(got,
+                                                                     want)
+
+    def test_max_float_family_scaled_back(self):
+        # searched as 2^-1024 (A_i, b_i), which lies in the range: eta_star
+        # and the grid are that family's times 2^-1024
+        mats = max_float_family()
+        sys_ = SwitchedSystem(tuple(SubSystem(A, np.zeros(2)) for A in mats))
+        w = find_stable_combination(mats).weights
+        scaled = max_stable_eta(scaled_system(sys_, -1024), w)
+        result = max_stable_eta(sys_, w)
+        assert result.eta_star == math.ldexp(scaled.eta_star, -1024) > 0.0
+        assert result.grid == tuple((math.ldexp(e, -1024), r)
+                                    for e, r in scaled.grid)
+
+    def test_rounding_drift_is_numerical_error(self):
+        # the A_i set the power of two, 2^-997; b = 1e-300 would round
+        sys_ = SwitchedSystem((SubSystem(-1e300 * np.eye(1), [1e-300]),))
+        with pytest.raises(NumericalError, match=r"eta search.*2\^-997.*"
+                           "rounds an entry"):
+            max_stable_eta(sys_, Weights(np.array([1.0])))
+
+    @pytest.mark.parametrize("eta_max", [1e10, 1e-310])
+    def test_eta_max_out_of_scale_is_numerical_error(self, eta_max):
+        # 1e10 * 2^1024 overflows; 1e-310 / 50 is subnormal
+        big = np.finfo(float).max
+        sys_ = SwitchedSystem((SubSystem(-big * np.eye(1), [0.0]),))
+        small = SwitchedSystem((SubSystem(-np.eye(1), [0.0]),))
+        with pytest.raises(NumericalError, match="eta search cannot use"):
+            max_stable_eta(sys_ if eta_max > 1.0 else small,
+                           Weights(np.array([1.0])), eta_max=eta_max)
+
+
+def near_zero_families(count):
+    """The first count draws of default_rng(5), three 3x3 standard normal
+    matrices each, shifted three times by their reported abscissa times I:
+    families whose least abscissa is 0 to within rounding."""
+    rng = np.random.default_rng(5)
+    for _ in range(count):
+        mats = [rng.normal(size=(3, 3)) for _ in range(3)]
+        for _ in range(3):
+            shift = find_stable_combination(mats, 0.05).abscissa
+            mats = [A - shift * np.eye(3) for A in mats]
+        yield mats
+
+
+def test_precondition_agrees_with_found(monkeypatch):
+    # max_stable_eta refuses exactly the weights whose abscissa the simplex
+    # search found not below 0: the same evaluator on the same family.
+    # The average system's own eigenvalues disagree on 5 of these 24
+    monkeypatch.setattr(synthesis, "_grid_radii",
+                        lambda sys_, w, etas: [0.5] * len(etas))
+    verdicts = []
+    for mats in near_zero_families(24):
+        result = find_stable_combination(mats, 0.05)
+        sys_ = SwitchedSystem(tuple(SubSystem(A, np.zeros(3)) for A in mats))
+        try:
+            max_stable_eta(sys_, result.weights, grid_points=1)
+            accepted = True
+        except ValueError as exc:
+            assert "not stable" in str(exc)
+            accepted = False
+        verdicts.append((result.found, accepted))
+    assert all(found == accepted for found, accepted in verdicts)
+    assert 0 < sum(found for found, _ in verdicts) < len(verdicts)
