@@ -39,7 +39,12 @@ class PeriodicSignal:
                 raise ValueError(f"segment {k}: subsystem index must be >= 1, got {idx}")
             if not (dur > 0.0 and np.isfinite(dur)):
                 raise ValueError(f"segment {k}: duration must be positive, got {dur}")
-        period = sum(d for _, d in segs)
+        # left to right, as _walk accumulates the segment ends; the builtin
+        # sum compensates from Python 3.12 on, so its last bit would depend
+        # on the interpreter
+        period = 0.0
+        for _, dur in segs:
+            period += dur
         if not np.isfinite(period):
             raise ValueError(f"the durations sum to a period of {period}; "
                              "the period must be finite")

@@ -29,10 +29,10 @@ _GUARD_CLEAR = DIVERGENCE_GUARD ** 2 * (1.0 - 1e-9)
 # grid_points.
 MAX_STEPS = 1_000_000
 # Rows each batched loop handles per call: write_table's rows, simulate's
-# planned samples, simulate_norm_min's guard checks, the simplex scan and
-# the eta grid.  A larger batch pays per-call overhead less often, but
-# holds more in memory and wastes more work after a divergence; no output
-# depends on the value.
+# planned samples, simulate_norm_min's product buffer and guard checks,
+# the simplex scan and the eta grid.  A larger batch pays per-call
+# overhead less often, but holds more in memory and wastes more work after
+# a divergence; no output depends on the value.
 BLOCK_ROWS = 256
 
 
@@ -305,6 +305,20 @@ def simulate_norm_min(sys: SwitchedSystem, x0: np.ndarray, t_end: float,
     On the tested OpenBLAS, ndarray.dot gives the bits of np.matmul and of
     the separate products (test_matches_reference_loop checks it).
 
+    Step j of a block writes its product into row j of one (BLOCK_ROWS,
+    2mn) buffer, built once per call with its views, and takes the next
+    state as a view of the selected block; after the block, one gather
+    copies the selected blocks into the states and one store writes the
+    labels.  When every b_i and v_i is +0.0 (a linear system, as a rule)
+    the per-step addition is skipped and 0.0 is added once to the gathered
+    block instead, which stores a -0.0 entry as 0.0 as the per-step
+    addition does.  That is exact: a state or a product that differs only
+    in the sign of a zero entry changes no later sum but the sign of one
+    that is exactly zero, and argmin treats -0.0 and 0.0 as a tie, so the
+    selections, the states and their bits are those of the per-step
+    addition.  A -0.0 among the b_i or v_i keeps the per-step addition,
+    since it can keep a -0.0 that the block addition would not.
+
     The divergence guard is checked once per BLOCK_ROWS new states, with
     one squared-norm test on the block; a block not clearly below
     DIVERGENCE_GUARD is walked row by row with _guard's exact formula, so
@@ -330,7 +344,6 @@ def simulate_norm_min(sys: SwitchedSystem, x0: np.ndarray, t_end: float,
     states = np.empty((n_steps + 1, n))
     active = np.empty(n_steps + 1, dtype=int)
     states[0] = x0
-    x = states[0]
     # the product also multiplies the step maps that are not selected
     with np.errstate(over="ignore", invalid="ignore"):
         step_maps = segment_map(sys, [(i, h) for i in range(1, m + 1)])
@@ -338,32 +351,44 @@ def simulate_norm_min(sys: SwitchedSystem, x0: np.ndarray, t_end: float,
                                  + [step.M for step in step_maps])
         offsets = np.concatenate([sub.b for sub in sys.subsystems]
                                  + [step.v for step in step_maps])
-        # views of one product plus offsets: the (m, n) block of
-        # A_i x + b_i, then each M_i x + v_i
-        product = np.empty(2 * m * n)
-        rates = product[:m * n].reshape(m, n)
-        moves = [product[(m + i) * n:(m + i + 1) * n] for i in range(m)]
+        # only +0.0 offsets: adding them changes no bit but the sign of a
+        # zero, so it is done once per block, on the gathered states
+        add_per_step = bool(offsets.any() or np.signbit(offsets).any())
+        # row j holds step j's product: the (m, n) block of A_i x + b_i,
+        # then each M_i x + v_i
+        height = min(BLOCK_ROWS, n_steps)
+        products = np.empty((height, 2 * m, n))
+        views = [(product.reshape(-1), product[:m], list(product[m:]))
+                 for product in products]
         values = np.empty(m)
         for first in range(1, n_steps + 1, BLOCK_ROWS):
             stop = min(first + BLOCK_ROWS, n_steps + 1)
-            for row in range(first, stop):
+            x = states[first - 1]
+            picks = []
+            for product, rates, moves in views[:stop - first]:
                 stacked.dot(x, out=product)
-                product += offsets
+                if add_per_step:
+                    product += offsets
                 i = rates.dot(x, out=values).argmin()
-                active[row - 1] = i + 1
-                states[row] = moves[i]
-                x = states[row]
+                x = moves[i]
+                picks.append(i)
+            picks = np.array(picks)
+            block = states[first:stop]
+            block[...] = products[np.arange(stop - first), m + picks]
+            if not add_per_step:
+                block += 0.0
+            active[first - 1:stop - 1] = picks + 1
             # one squared-norm test per block; a NaN fails it too, and a
             # block it does not clear is walked with _guard's exact formula
-            block = states[first:stop]
             if not np.einsum("ij,ij->i", block, block).max() < _GUARD_CLEAR:
                 for row in range(first, stop):
                     _guard(states[row], (row - 1) * h + h,
                            times, states, active, row)
         # the selection at the last state, which no step follows
-        stacked.dot(x, out=product)
+        product, rates, _ = views[0]
+        stacked.dot(states[n_steps], out=product)
         product += offsets
-        active[n_steps] = rates.dot(x, out=values).argmin() + 1
+        active[n_steps] = rates.dot(states[n_steps], out=values).argmin() + 1
 
     return Trajectory(times, states, active)
 

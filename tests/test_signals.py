@@ -34,6 +34,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="period of inf"):
             PeriodicSignal((Segment(1, 1e308), Segment(2, 1e308)))
 
+    def test_period_sums_left_to_right(self):
+        # 0.1 + 0.2 rounds up to 0.30000000000000004; a compensated sum
+        # (the builtin sum from Python 3.12 on) gives 0.6
+        sig = PeriodicSignal((Segment(1, 0.1), Segment(2, 0.2), Segment(3, 0.3)))
+        assert sig.period == 0.6000000000000001
+
     def test_policy_validation(self):
         NormMinPolicy(1e-3)
         with pytest.raises(ValueError):

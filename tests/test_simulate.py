@@ -108,10 +108,13 @@ def norm_min_reference(sys_, x0, t_end, h):
 
 
 def assert_same_trajectory(got, want):
+    """Equal bytes, sign bits included: assert_array_equal counts -0.0
+    equal to 0.0, but write_table writes -0.0 as "-0"."""
     for name in ("times", "states", "active"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape
         np.testing.assert_array_equal(a, b)
+        assert a.tobytes() == b.tobytes(), f"{name} differ in a sign bit"
 
 
 def assert_same_escape(sys_, x0, t_end, h):
@@ -124,6 +127,21 @@ def assert_same_escape(sys_, x0, t_end, h):
     assert got.value.time == want.value.time
     assert_same_trajectory(got.value.trajectory, want.value.trajectory)
     return got.value
+
+
+ZERO_STARTS = ("normal", "one zero", "zero")
+
+
+def zero_start(rng, n, start):
+    """A standard-normal x0 ("normal"), with one entry set to +0.0 or -0.0
+    ("one zero"), or each entry +0.0 or -0.0 ("zero")."""
+    x0 = rng.normal(size=n)
+    signed_zeros = rng.choice([0.0, -0.0], size=n)
+    if start == "one zero":
+        x0[rng.integers(n)] = signed_zeros[0]
+    elif start == "zero":
+        x0 = signed_zeros
+    return x0
 
 
 class TestSegmentStep:
@@ -619,18 +637,59 @@ class TestNormMin:
         traj = simulate_norm_min(lin, np.zeros(2), 1.0, NormMinPolicy(0.1))
         assert np.all(traj.active == 1)
 
-    # bitwise: each row of the stacked product must round as the lone A_i
-    # and M_i products of the reference do
-    @settings(max_examples=40, deadline=None)
+    # bitwise, sign bits included: each row of the stacked product must
+    # round as the lone A_i and M_i products of the reference do, and
+    # skipping the add of all-+0.0 drifts must store what the add stores.
+    # b = -0.0 (as JSON's -0.0 parses) and zero entries of A or x0 put
+    # signed zeros into the products
+    @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 6), m=st.integers(1, 5),
-           h=st.sampled_from([1e-3, 1e-2, 0.1]),
-           affine=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_matches_reference_loop(self, n, m, h, affine, seed):
+           h=st.sampled_from([1e-3, 1e-2, 0.1, 1.0]),
+           drift=st.sampled_from(["linear", "affine", "negative zero"]),
+           sparse=st.booleans(), start=st.sampled_from(ZERO_STARTS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_loop(self, n, m, h, drift, sparse, start,
+                                    seed):
         rng = np.random.default_rng(seed)
-        sys_ = random_switched_system(rng, n, m, affine=affine)
-        x0 = rng.normal(size=n)
+        sys_ = random_switched_system(rng, n, m, affine=drift == "affine")
+        if drift == "negative zero" or sparse:
+            sys_ = SwitchedSystem(tuple(
+                SubSystem(np.where(rng.random((n, n)) < 0.5, 0.0, sub.A)
+                          if sparse else sub.A,
+                          np.full(n, -0.0) if drift == "negative zero"
+                          else sub.b)
+                for sub in sys_.subsystems))
+        x0 = zero_start(rng, n, start)
         got = simulate_norm_min(sys_, x0, 2.0, NormMinPolicy(h))
         assert_same_trajectory(got, norm_min_reference(sys_, x0, 2.0, h))
+
+    # linear systems whose step drift v has a -0.0 entry at h = 1, from
+    # the rounding of expm's squaring: the add is kept per step there
+    @pytest.mark.parametrize("seed, n, m", [(3, 2, 2), (11, 2, 3)])
+    @pytest.mark.parametrize("start", ZERO_STARTS)
+    def test_negative_zero_step_drift(self, seed, n, m, start):
+        rng = np.random.default_rng(seed)
+        sys_ = random_switched_system(rng, n, m)
+        v = np.concatenate([step.v for step in segment_map(
+            sys_, [(i, 1.0) for i in range(1, m + 1)])])
+        assert not v.any() and np.signbit(v).any()
+        x0 = zero_start(rng, n, start)
+        got = simulate_norm_min(sys_, x0, 12.0, NormMinPolicy(1.0))
+        assert_same_trajectory(got, norm_min_reference(sys_, x0, 12.0, 1.0))
+
+    @pytest.mark.parametrize("b5", [0.0, -0.0])
+    def test_underflow_to_negative_zero(self, b5):
+        # x5 falls from -1 to -1.9e-174, then to a product that underflows
+        # to -0.0 (the fifth column of an OpenBLAS (k, 5) product is a
+        # fused multiply-add).  v5 has the sign of b5: adding v5 = +0.0
+        # stores x5 = 0.0 at state 2, and v5 = -0.0 keeps -0.0 there, so
+        # each branch of the +0.0 test must store what the per-step add does
+        A = -np.eye(5)
+        A[0, 1], A[4, 4] = 1.0, -400.0
+        sys_ = SwitchedSystem((SubSystem(A, np.array([0.0] * 4 + [b5])),))
+        x0 = np.array([1.0, 1.0, 1.0, 1.0, -1.0])
+        got = simulate_norm_min(sys_, x0, 4.0, NormMinPolicy(1.0))
+        assert_same_trajectory(got, norm_min_reference(sys_, x0, 4.0, 1.0))
 
     def test_unselected_overflow_adds_no_warning(self):
         # e^{800} overflows in the second step map, which is never selected
