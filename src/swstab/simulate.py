@@ -309,10 +309,11 @@ def simulate_norm_min(sys: SwitchedSystem, x0: np.ndarray, t_end: float,
     2mn) buffer, built once per call with its views, and takes the next
     state as a view of the selected block; after the block, one gather
     copies the selected blocks into the states and one store writes the
-    labels.  When every b_i and v_i is +0.0 (a linear system, as a rule)
-    the per-step addition is skipped and 0.0 is added once to the gathered
-    block instead, which stores a -0.0 entry as 0.0 as the per-step
-    addition does.  That is exact: a state or a product that differs only
+    labels.  When every b_i and v_i is +0.0 (a linear system, unless the
+    rounding of a step exponential leaves -0.0 in a v_i) the per-step
+    addition is skipped and 0.0 is added once to the gathered block
+    instead, which stores a -0.0 entry as 0.0 as the per-step addition
+    does.  That is exact: a state or a product that differs only
     in the sign of a zero entry changes no later sum but the sign of one
     that is exactly zero, and argmin treats -0.0 and 0.0 as a tie, so the
     selections, the states and their bits are those of the per-step

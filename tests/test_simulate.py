@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swstab.linalg import DimensionError
@@ -641,25 +641,42 @@ class TestNormMin:
     # round as the lone A_i and M_i products of the reference do, and
     # skipping the add of all-+0.0 drifts must store what the add stores.
     # b = -0.0 (as JSON's -0.0 parses) and zero entries of A or x0 put
-    # signed zeros into the products
+    # signed zeros into the products.  A stiff system has upper-triangular
+    # A_i whose last state decays alone at rate 400 from x = -1 until it
+    # underflows; at n = 5 and h = 1 the tested OpenBLAS rounds that
+    # product to -0.0 (see test_underflow_to_negative_zero), which the add
+    # of v = +0.0 stores as 0.0 and of v = -0.0 keeps, so each side of
+    # the +0.0 test is drawn on it by the two explicit examples
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 6), m=st.integers(1, 5),
            h=st.sampled_from([1e-3, 1e-2, 0.1, 1.0]),
            drift=st.sampled_from(["linear", "affine", "negative zero"]),
-           sparse=st.booleans(), start=st.sampled_from(ZERO_STARTS),
+           sparse=st.booleans(), stiff=st.booleans(),
+           start=st.sampled_from(ZERO_STARTS),
            seed=st.integers(0, 2**32 - 1))
-    def test_matches_reference_loop(self, n, m, h, drift, sparse, start,
-                                    seed):
+    @example(n=5, m=2, h=1.0, drift="linear", sparse=False, stiff=True,
+             start="normal", seed=0)
+    @example(n=5, m=2, h=1.0, drift="negative zero", sparse=False,
+             stiff=True, start="normal", seed=0)
+    def test_matches_reference_loop(self, n, m, h, drift, sparse, stiff,
+                                    start, seed):
         rng = np.random.default_rng(seed)
-        sys_ = random_switched_system(rng, n, m, affine=drift == "affine")
-        if drift == "negative zero" or sparse:
-            sys_ = SwitchedSystem(tuple(
-                SubSystem(np.where(rng.random((n, n)) < 0.5, 0.0, sub.A)
-                          if sparse else sub.A,
-                          np.full(n, -0.0) if drift == "negative zero"
-                          else sub.b)
-                for sub in sys_.subsystems))
+        subs = []
+        for sub in random_switched_system(
+                rng, n, m, affine=drift == "affine").subsystems:
+            A, b = sub.A, sub.b
+            if sparse:
+                A = np.where(rng.random((n, n)) < 0.5, 0.0, A)
+            if stiff:
+                A = np.triu(A)
+                A[-1, -1] = -400.0
+            if drift == "negative zero":
+                b = np.full(n, -0.0)
+            subs.append(SubSystem(A, b))
+        sys_ = SwitchedSystem(tuple(subs))
         x0 = zero_start(rng, n, start)
+        if stiff:
+            x0[-1] = -1.0
         got = simulate_norm_min(sys_, x0, 2.0, NormMinPolicy(h))
         assert_same_trajectory(got, norm_min_reference(sys_, x0, 2.0, h))
 
@@ -686,10 +703,19 @@ class TestNormMin:
         # each branch of the +0.0 test must store what the per-step add does
         A = -np.eye(5)
         A[0, 1], A[4, 4] = 1.0, -400.0
-        sys_ = SwitchedSystem((SubSystem(A, np.array([0.0] * 4 + [b5])),))
+        sub = SubSystem(A, np.array([0.0] * 4 + [b5]))
+        sys_ = SwitchedSystem((sub,))
         x0 = np.array([1.0, 1.0, 1.0, 1.0, -1.0])
+        want = norm_min_reference(sys_, x0, 4.0, 1.0)
+        # the premise, so that a BLAS that rounds the product to 0.0 fails
+        # here rather than pass without testing either branch
+        step = one_segment(sub, 1.0)
+        raw = np.concatenate([A, step.M]).dot(want.states[1])[-1]
+        assert raw == 0.0 and np.signbit(raw)
+        assert np.signbit(step.v[4]) == np.signbit(b5)
+        assert np.signbit(want.states[2, 4]) == np.signbit(b5)
         got = simulate_norm_min(sys_, x0, 4.0, NormMinPolicy(1.0))
-        assert_same_trajectory(got, norm_min_reference(sys_, x0, 4.0, 1.0))
+        assert_same_trajectory(got, want)
 
     def test_unselected_overflow_adds_no_warning(self):
         # e^{800} overflows in the second step map, which is never selected
