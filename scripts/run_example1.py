@@ -10,14 +10,19 @@ from pathlib import Path
 
 from swstab.cli import main as swstab_main
 
+ETAS = (1.1, 1e-3)
+
+
+def command(eta: float, out: str) -> list[str]:
+    """The swstab command line that runs preset 1 at dwell scale eta."""
+    return ["example", "1", "--eta", str(eta), "--t-end", "60",
+            "--dt", "0.05", "--circle", "8", "--out", out]
+
 
 def run(out_dir: str) -> int:
     status = 0
-    for eta, sub in ((1.1, "eta_1.1"), (1e-3, "eta_0.001")):
-        code = swstab_main([
-            "example", "1", "--eta", str(eta), "--t-end", "60",
-            "--dt", "0.05", "--circle", "8",
-            "--out", str(Path(out_dir) / sub)])
+    for eta in ETAS:
+        code = swstab_main(command(eta, str(Path(out_dir) / f"eta_{eta}")))
         print(f"eta = {eta}: exit {code}")
         status = max(status, code)
     return status

@@ -56,8 +56,9 @@ def as_matrix(M) -> np.ndarray:
 
 def as_square(M) -> np.ndarray:
     A = as_matrix(M)
-    if A.shape[0] != A.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {A.shape}")
+    if A.shape[0] != A.shape[1] or A.shape[0] == 0:
+        raise DimensionError(
+            f"expected a nonempty square matrix, got shape {A.shape}")
     return A
 
 

@@ -3,6 +3,8 @@ activation fractions, and the sampled norm-minimising policy descriptor."""
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -25,13 +27,22 @@ class PeriodicSignal:
     The signal is right-continuous: a switching instant belongs to the
     segment that begins there.  Every duration is strictly positive, so the
     signal is non-vanishing with dwell time min(durations).
+
+    The constructor owns the segment rules, for library and JSON callers
+    alike: each index goes through model.json_int and each duration
+    through model.json_float, so 1.7, "2" or True raises the loader's
+    ValueError instead of converting.  ``ends`` holds the segment end
+    times, the durations summed left to right, and the period is its last
+    entry.
     """
 
     segments: tuple[Segment, ...]
-    period: float = field(init=False, compare=False)   # sum of durations
+    ends: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        segs = tuple(Segment(int(i), float(d)) for i, d in self.segments)
+        segs = tuple(Segment(json_int(i, "segment index"),
+                             json_float(d, "segment duration"))
+                     for i, d in self.segments)
         if not segs:
             raise ValueError("a periodic signal needs at least one segment")
         for k, (idx, dur) in enumerate(segs):
@@ -39,21 +50,19 @@ class PeriodicSignal:
                 raise ValueError(f"segment {k}: subsystem index must be >= 1, got {idx}")
             if not (dur > 0.0 and np.isfinite(dur)):
                 raise ValueError(f"segment {k}: duration must be positive, got {dur}")
-        # left to right, as _walk accumulates the segment ends; the builtin
+        # left to right, as simulate's walk accumulates them; the builtin
         # sum compensates from Python 3.12 on, so its last bit would depend
         # on the interpreter
-        period = 0.0
-        for _, dur in segs:
-            period += dur
-        if not np.isfinite(period):
-            raise ValueError(f"the durations sum to a period of {period}; "
+        ends = tuple(itertools.accumulate(dur for _, dur in segs))
+        if not np.isfinite(ends[-1]):
+            raise ValueError(f"the durations sum to a period of {ends[-1]}; "
                              "the period must be finite")
         object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "ends", ends)
 
     @property
-    def max_index(self) -> int:
-        return max(i for i, _ in self.segments)
+    def period(self) -> float:
+        return self.ends[-1]
 
 
 @dataclass(frozen=True)
@@ -67,22 +76,22 @@ class NormMinPolicy:
     step: float
 
     def __post_init__(self):
-        if not self.step > 0.0:
-            raise ValueError(f"sample step must be positive, got {self.step}")
+        step = json_float(self.step, "sample step")
+        if not step > 0.0:
+            raise ValueError(f"sample step must be positive, got {step}")
+        object.__setattr__(self, "step", step)
 
 
 def from_weights(w: Weights, eta: float) -> PeriodicSignal:
     """One cycle activating subsystem i for eta * alpha_i * T, in index order.
 
-    Zero-weight subsystems are dropped from the constructed signal.
+    Zero-weight subsystems are dropped from the constructed signal; Weights
+    sum to one, so at least one is left.
     """
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
-    segs = [Segment(i + 1, eta * a * w.period)
-            for i, a in enumerate(w.alpha) if a > 0.0]
-    if not segs:
-        raise ValueError("all weights are zero; cannot build a signal")
-    return PeriodicSignal(tuple(segs))
+    return PeriodicSignal(tuple(Segment(i + 1, eta * a * w.period)
+                                for i, a in enumerate(w.alpha) if a > 0.0))
 
 
 def scale(sig: PeriodicSignal, eta: float) -> PeriodicSignal:
@@ -99,24 +108,18 @@ def shift(sig: PeriodicSignal, gamma: float) -> PeriodicSignal:
     """
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise ValueError(f"shift must be finite and nonnegative, got {gamma}")
-    T = sig.period
-    g = gamma % T
+    g = gamma % sig.period        # in [0, period): below the last end
     if g == 0.0:
         return sig
-    # locate the segment containing offset g
-    acc = 0.0
-    for k, (idx, dur) in enumerate(sig.segments):
-        if g < acc + dur:
-            head = acc + dur - g          # remainder of the split segment
-            tail = g - acc                # part moved to the end
-            segs = [Segment(idx, head)]
-            segs += list(sig.segments[k + 1:]) + list(sig.segments[:k])
-            if tail > 0.0:
-                segs.append(Segment(idx, tail))
-            return PeriodicSignal(tuple(segs))
-        acc += dur
-    # g landed exactly on the period boundary through round-off
-    return sig
+    # the segment containing offset g: the first that ends after it
+    k = bisect.bisect_right(sig.ends, g)
+    idx = sig.segments[k].index
+    tail = g - sig.ends[k - 1] if k else g    # part moved to the end
+    segs = [Segment(idx, sig.ends[k] - g)]    # remainder of the split segment
+    segs += list(sig.segments[k + 1:]) + list(sig.segments[:k])
+    if tail > 0.0:
+        segs.append(Segment(idx, tail))
+    return PeriodicSignal(tuple(segs))
 
 
 def permute(sig: PeriodicSignal, perm: Sequence[int]) -> PeriodicSignal:
@@ -130,19 +133,15 @@ def active_index(sig: PeriodicSignal, t: float) -> int:
     """Subsystem active at finite t >= 0 (right-continuous at switches)."""
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"time must be finite and nonnegative, got {t}")
-    r = t % sig.period
-    acc = 0.0
-    for idx, dur in sig.segments:
-        acc += dur
-        if r < acc:
-            return idx
-    return sig.segments[0].index
+    r = t % sig.period            # in [0, period): below the last end
+    return sig.segments[bisect.bisect_right(sig.ends, r)].index
 
 
 def activation_fractions(sig: PeriodicSignal, m: Optional[int] = None) -> Weights:
     """Fraction of the period each subsystem is active, with the period."""
-    m = sig.max_index if m is None else int(m)
-    if m < sig.max_index:
+    top = max(i for i, _ in sig.segments)
+    m = top if m is None else json_int(m, "m")
+    if m < top:
         raise ValueError(f"m={m} is smaller than the largest segment index")
     total = np.zeros(m)
     for idx, dur in sig.segments:
@@ -168,16 +167,14 @@ def signal_from_dict(spec: dict) -> PeriodicSignal:
     """
     entries = json_objects(spec, "segments", "signal")
     try:
-        segs = tuple(
-            Segment(json_int(json_field(s, "index", f"segment {k}"),
-                             "segment index"),
-                    json_float(json_field(s, "duration", f"segment {k}"),
-                               "segment duration"))
-            for k, s in enumerate(entries, 1))
+        sig = PeriodicSignal(tuple(
+            (json_field(s, "index", f"segment {k}"),
+             json_field(s, "duration", f"segment {k}"))
+            for k, s in enumerate(entries, 1)))
         eta = json_float(spec.get("eta", 1.0), '"eta"')
     except TypeError as exc:
         raise ValueError(f"signal spec value has the wrong type: {exc}") from exc
-    return scale(PeriodicSignal(segs), eta)
+    return scale(sig, eta)
 
 
 def load_signal(path) -> PeriodicSignal:

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .model import SwitchedSystem, Weights, average_system
+from .model import SwitchedSystem, Weights, average_system, json_int
 from .signals import PeriodicSignal, from_weights
 from .simulate import poincare_map
 
@@ -121,7 +121,7 @@ def lemma4_bound_holds(sys: SwitchedSystem, w: Weights, eta: float,
     """
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
-    ks = [int(k) for k in k_list]
+    ks = [json_int(k, "k_list entry") for k in k_list]
     if not ks or any(k < 1 for k in ks):
         raise ValueError("k_list must be a nonempty list of positive integers")
     C = bch_c2(sys, w)

@@ -20,6 +20,12 @@ class TestTypes:
             SwitchedSystem((SubSystem(np.eye(2), np.zeros(2)),
                             SubSystem(np.eye(3), np.zeros(3))))
 
+    def test_empty_matrix_refused(self):
+        # a 0x0 subsystem once built, and failed later inside numpy
+        with pytest.raises(DimensionError,
+                           match=r"nonempty square matrix, got shape \(0, 0\)"):
+            SubSystem(np.zeros((0, 0)), np.zeros(0))
+
     def test_subsystem_by_signal_index(self):
         subs = (SubSystem(np.eye(2), np.zeros(2)),
                 SubSystem(-np.eye(2), np.ones(2)))

@@ -53,7 +53,8 @@ def test_run_example2(tmp_path):
 
 def test_output_digest():
     for workload, name in (("design", "combination.json"),
-                           ("normmin-dense", "normmin.json")):
+                           ("normmin-dense", "normmin.json"),
+                           ("examples", "trajectory_07.csv")):
         outputs = []
         for _ in range(2):
             proc = run_script("output_digest.py", "--workload", workload,

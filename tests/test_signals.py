@@ -19,10 +19,31 @@ def dyadic(lo=1, hi=256, denom=64):
     return st.integers(lo, hi).map(lambda k: k / denom)
 
 
-def signals(max_segments=6):
-    seg = st.tuples(st.integers(1, 4), dyadic())
+def signals(max_segments=6, durations=dyadic()):
+    seg = st.tuples(st.integers(1, 4), durations)
     return st.lists(seg, min_size=1, max_size=max_segments).map(
         lambda segs: PeriodicSignal(tuple(Segment(i, d) for i, d in segs)))
+
+
+def loop_shift(sig, gamma):
+    """shift's segments as a running sum over the segments finds them, the
+    form shift had before PeriodicSignal kept its segment ends."""
+    T = 0.0
+    for _, dur in sig.segments:
+        T += dur
+    g = gamma % T
+    if g == 0.0:
+        return sig.segments
+    acc = 0.0
+    for k, (idx, dur) in enumerate(sig.segments):
+        if g < acc + dur:
+            segs = [Segment(idx, acc + dur - g)]
+            segs += list(sig.segments[k + 1:]) + list(sig.segments[:k])
+            if g - acc > 0.0:
+                segs.append(Segment(idx, g - acc))
+            return tuple(segs)
+        acc += dur
+    return sig.segments
 
 
 class TestConstruction:
@@ -45,12 +66,40 @@ class TestConstruction:
         monkeypatch.setattr(importlib.import_module("swstab.signals"),
                             "sum", math.fsum, raising=False)
         sig = PeriodicSignal((Segment(1, 0.1), Segment(2, 0.2), Segment(3, 0.3)))
-        assert sig.period == 0.6000000000000001
+        assert sig.ends == (0.1, 0.30000000000000004, 0.6000000000000001)
+        assert sig.period == sig.ends[-1]
+        assert "ends" not in repr(sig)
+
+    @pytest.mark.parametrize("segment, message", [
+        ((1.7, 2.0), "segment index must be an integer, got 1.7"),
+        (("2", "1.5"), 'segment index must be an integer, got "2"'),
+        ((True, 1.0), "segment index must be an integer, got true"),
+        ((1, "1.5"), 'segment duration must be a number, got "1.5"'),
+        ((1, True), "segment duration must be a number, got true")])
+    def test_loader_rule_for_library_callers(self, segment, message):
+        # int() and float() once made subsystem 1 of 1.7 and accepted "2"
+        # and True; the constructor and the loader give one message
+        with pytest.raises(ValueError) as library:
+            PeriodicSignal((segment,))
+        index, duration = segment
+        with pytest.raises(ValueError) as loader:
+            signal_from_dict({"segments": [{"index": index,
+                                            "duration": duration}]})
+        assert str(library.value) == str(loader.value) == message
 
     def test_policy_validation(self):
         NormMinPolicy(1e-3)
         with pytest.raises(ValueError):
             NormMinPolicy(0.0)
+
+    @pytest.mark.parametrize("step", [True, "0.1"])
+    def test_policy_step_must_be_a_number(self, step):
+        # True once ran with integer sample times, "0.1" raised TypeError
+        with pytest.raises(ValueError, match="sample step must be a number"):
+            NormMinPolicy(step)
+
+    def test_policy_step_is_a_float(self):
+        assert type(NormMinPolicy(1).step) is float
 
     def test_from_weights(self):
         sig = from_weights(Weights(np.array([0.5, 0.5]), 2.0), 1.0)
@@ -139,6 +188,23 @@ class TestShift:
             activation_fractions(shifted, 4).alpha,
             activation_fractions(sig, 4).alpha, atol=1e-9)
 
+    @settings(max_examples=200, deadline=None)
+    @given(signals(durations=st.floats(1e-3, 1e3)), st.data())
+    def test_matches_loop_bit_for_bit(self, sig, data):
+        # arbitrary durations, so the running sums round; the offsets fall
+        # at random, exactly on a segment end, or one ulp to either side.
+        # Durations are positive, so == compares their bits
+        ends = [0.0]
+        for _, dur in sig.segments:
+            ends.append(ends[-1] + dur)
+        at_end = st.sampled_from(ends)
+        gamma = data.draw(st.one_of(
+            st.floats(0.0, 5.0 * ends[-1]), at_end,
+            at_end.map(lambda e: math.nextafter(e, math.inf)),
+            at_end.map(lambda e: math.nextafter(e, 0.0)),
+            at_end.map(lambda e: e + ends[-1])))
+        assert shift(sig, gamma).segments == loop_shift(sig, gamma)
+
     @settings(max_examples=60, deadline=None)
     @given(signals(), dyadic(0, 512, 64), dyadic(0, 512, 64))
     def test_matches_time_translation(self, sig, gamma, t):
@@ -210,6 +276,12 @@ class TestActivationFractions:
     def test_padded_to_m(self):
         w = activation_fractions(PeriodicSignal((Segment(2, 1.0),)), m=3)
         np.testing.assert_allclose(w.alpha, [0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("m", [2.9, "3", True])
+    def test_non_integer_m_refused(self, m):
+        # int() once padded to m = 2 for 2.9 and to 3 for "3"
+        with pytest.raises(ValueError, match="m must be an integer"):
+            activation_fractions(example_signal(1.0), m)
 
 
 class TestJson:

@@ -164,6 +164,13 @@ class TestLemma4:
     def test_benchmark_small_eta(self, example1):
         assert lemma4_bound_holds(example1, HALF, 1e-4, self.K_LIST)
 
+    @pytest.mark.parametrize("k", [1.5, 2.9, True, "2"])
+    def test_non_integer_k_refused(self, example1, k):
+        # int() once ran k = 1.5 as 1 and 2.9 as 2
+        with pytest.raises(ValueError,
+                           match="k_list entry must be an integer"):
+            lemma4_bound_holds(example1, HALF, 1.0, [4, k])
+
     def test_fails_before_instability(self, example1):
         etas = np.linspace(0.05, 3.0, 60)
         bound_fail = next(e for e in etas

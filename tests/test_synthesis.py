@@ -72,6 +72,12 @@ class TestFindStableCombination:
         with pytest.raises(DimensionError):
             find_stable_combination([np.eye(2), np.eye(3)])
 
+    def test_empty_matrix_refused(self):
+        # once "zero-size array to reduction operation maximum" from numpy
+        with pytest.raises(linalg.DimensionError,
+                           match="nonempty square matrix"):
+            find_stable_combination([np.zeros((0, 0))])
+
 
 def per_point_combination(matrices, resolution, maxiter=2000):
     """find_stable_combination as one abscissa call per grid point: the
